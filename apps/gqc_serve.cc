@@ -6,7 +6,8 @@
 //
 // Listens on loopback; prints "GQC_SERVE_READY port=<port>" on stdout once
 // accepting. One flat JSON object per line in, one per line out (protocol in
-// src/serve/server.h). SIGTERM/SIGINT drain gracefully: in-flight requests
+// src/serve/server.h). --cache-entries/--cache-mb bound each engine cache
+// table separately. SIGTERM/SIGINT drain gracefully: in-flight requests
 // finish, queued ones are answered "draining", the snapshot (if configured)
 // is saved, and the process exits 0.
 

@@ -175,7 +175,7 @@ int RunBatch(const std::vector<std::string>& args) {
   while (std::getline(std::cin, line)) {
     ++line_no;
     if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-    auto item = Engine::ParseBatchItemJson(line);
+    auto item = ParseBatchItemJson(line);
     if (!item.ok()) {
       std::fprintf(stderr, "line %zu: %s\n", line_no, item.error().c_str());
       return 1;
@@ -187,7 +187,7 @@ int RunBatch(const std::vector<std::string>& args) {
   Engine engine(options);
   std::vector<BatchOutcome> outcomes = engine.DecideBatch(items);
   for (const BatchOutcome& out : outcomes) {
-    std::printf("%s\n", Engine::OutcomeToJson(out).c_str());
+    std::printf("%s\n", OutcomeToJson(out).c_str());
   }
   if (print_stats) {
     std::fprintf(stderr, "%s\n", engine.StatsJson().c_str());

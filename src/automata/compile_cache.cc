@@ -1,6 +1,7 @@
 #include "src/automata/compile_cache.h"
 
-#include <chrono>
+#include <memory>
+#include <utility>
 
 namespace gqc {
 
@@ -49,91 +50,21 @@ CompiledRef RegexCompileCache::CompileInto(const RegexPtr& regex,
                                            Semiautomaton* target,
                                            PipelineStats* stats) {
   FpKey key(RegexStructuralKey(regex));
-  std::shared_ptr<const CompiledRegex> compiled;
-  {
-    MutexLock lock(&mu_);
-    ++tick_;
-    if (auto* hit = cache_.Find(key)) {
-      hit->meta.touch = tick_;
-      compiled = hit->value;
-    }
-  }
-  if (compiled != nullptr) {
-    if (stats) stats->regex_hits.fetch_add(1, std::memory_order_relaxed);
-  } else {
+  auto [compiled, hit] = cache_.GetOrBuild(std::move(key), [&] {
     if (stats) stats->regex_misses.fetch_add(1, std::memory_order_relaxed);
-    auto start = std::chrono::steady_clock::now();
-    compiled = std::make_shared<const CompiledRegex>(CompileRegex(regex));
-    auto elapsed = std::chrono::steady_clock::now() - start;
-    auto ns =
-        std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count();
+    auto built = std::make_shared<const CompiledRegex>(CompileRegex(regex));
     // States + transitions dominate the resident size of a compilation.
-    std::size_t bytes = key.text().size() +
-                        32 * compiled->automaton.StateCount() +
-                        16 * compiled->automaton.TransitionCount() + 64;
-    MutexLock lock(&mu_);
-    auto [slot, inserted] = cache_.TryEmplace(std::move(key));
-    if (inserted) {
-      slot->value = compiled;
-      slot->meta = {tick_, ns <= 0 ? 1 : static_cast<uint64_t>(ns), bytes};
-      // Enforcement may evict this very entry and rehash; keep the local
-      // ref, `slot` is dead after the call.
-      EnforceBudgetLocked();
-    } else {
-      compiled = slot->value;
-    }
-  }
+    std::size_t bytes = 32 * built->automaton.StateCount() +
+                        16 * built->automaton.TransitionCount() + 64;
+    return Built{std::move(built), bytes};
+  });
+  if (hit && stats) stats->regex_hits.fetch_add(1, std::memory_order_relaxed);
   uint32_t offset = target->DisjointUnion(compiled->automaton);
   CompiledRef ref;
   ref.start = compiled->start + offset;
   ref.end = compiled->end + offset;
   ref.nullable = compiled->nullable;
   return ref;
-}
-
-void RegexCompileCache::SetBudget(const CacheBudget& budget) {
-  MutexLock lock(&mu_);
-  budget_ = budget;
-  EnforceBudgetLocked();
-}
-
-std::size_t RegexCompileCache::EnforceBudgetLocked() {
-  if (!budget_.bounded()) return 0;
-  std::size_t drop =
-      OverBudgetDropCount(budget_, cache_.size(), RetainedBytes(cache_));
-  return EvictLowestScore(&cache_, tick_, drop);
-}
-
-std::size_t RegexCompileCache::Evict(double pressure, PipelineStats* stats) {
-  std::size_t bytes_freed = 0;
-  std::size_t freed = 0;
-  {
-    MutexLock lock(&mu_);
-    freed = EvictLowestScore(&cache_, tick_,
-                             EvictionCount(cache_.size(), pressure),
-                             &bytes_freed);
-  }
-  if (stats != nullptr && freed > 0) {
-    stats->cache_evictions.fetch_add(freed, std::memory_order_relaxed);
-    stats->cache_evicted_bytes.fetch_add(bytes_freed, std::memory_order_relaxed);
-  }
-  return freed;
-}
-
-std::size_t RegexCompileCache::retained_bytes() const {
-  MutexLock lock(&mu_);
-  return RetainedBytes(cache_);
-}
-
-void RegexCompileCache::Clear() {
-  MutexLock lock(&mu_);
-  cache_.Clear();
-  tick_ = 0;
-}
-
-std::size_t RegexCompileCache::size() const {
-  MutexLock lock(&mu_);
-  return cache_.size();
 }
 
 }  // namespace gqc

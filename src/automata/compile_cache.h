@@ -7,8 +7,6 @@
 #include "src/automata/semiautomaton.h"
 #include "src/core/lifecycle.h"
 #include "src/core/stats.h"
-#include "src/util/fingerprint.h"
-#include "src/util/flat_map.h"
 #include "src/util/sync.h"
 
 namespace gqc {
@@ -27,10 +25,14 @@ namespace gqc {
 /// vocabulary layering guarantees this); colliding ids would in any case map
 /// to code-identical regexes, which compile to the same code-level automaton.
 ///
-/// Thread-safe; all mutable state is behind one mutex (compilation of a
-/// missed entry runs outside the lock).
+/// Thread-safe: one BoundedTable (compilation of a missed entry runs outside
+/// its lock).
 class RegexCompileCache {
  public:
+  /// Evictions are counted on `stats` when non-null.
+  explicit RegexCompileCache(PipelineStats* stats = nullptr)
+      : cache_(kLockRankRegexCache, "regex-cache", stats) {}
+
   /// Compiles `regex` into `target` (disjoint union), like CompileRegexInto,
   /// reusing a cached standalone compilation when one exists. Records
   /// regex_hits / regex_misses on `stats` when non-null.
@@ -39,29 +41,22 @@ class RegexCompileCache {
 
   /// Bounds the cache (entries and/or estimated bytes; 0 = unbounded).
   /// Applies immediately and to every later insert.
-  void SetBudget(const CacheBudget& budget);
+  void SetBudget(const CacheBudget& budget) { cache_.SetBudget(budget); }
 
   /// Drops ceil(size * pressure) lowest retain-score entries and shrinks the
   /// backing arrays; returns entries dropped. Dropping is lifecycle only —
   /// the regex recompiles identically on the next miss.
-  std::size_t Evict(double pressure, PipelineStats* stats = nullptr);
+  std::size_t Evict(double pressure) { return cache_.Evict(pressure).entries; }
 
   /// Summed resident-size estimates of the retained compilations.
-  std::size_t retained_bytes() const;
+  std::size_t retained_bytes() const { return cache_.retained_bytes(); }
 
-  void Clear();
-  std::size_t size() const;
+  void Clear() { cache_.Clear(); }
+  std::size_t size() const { return cache_.size(); }
 
  private:
-  std::size_t EnforceBudgetLocked() GQC_REQUIRES(mu_);
-
-  mutable Mutex mu_{kLockRankRegexCache, "regex-cache"};
-  CacheBudget budget_ GQC_GUARDED_BY(mu_);
-  uint64_t tick_ GQC_GUARDED_BY(mu_) = 0;
-  /// Keyed by the structural serialization as an FpKey: probes compare the
-  /// precomputed fingerprint first and the exact key text only on a match.
-  FlatMap<FpKey, Retained<std::shared_ptr<const CompiledRegex>>, FpKeyHash>
-      cache_ GQC_GUARDED_BY(mu_);
+  /// Keyed by the structural serialization as an FpKey.
+  BoundedTable<std::shared_ptr<const CompiledRegex>> cache_;
 };
 
 /// The cache key: a prefix encoding of the regex AST over symbol codes.

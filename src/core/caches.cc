@@ -1,7 +1,5 @@
 #include "src/core/caches.h"
 
-#include <chrono>
-
 #include "src/core/validate.h"
 #include "src/dl/normalize.h"
 #include "src/util/fingerprint.h"
@@ -9,61 +7,20 @@
 
 namespace gqc {
 
-namespace {
-
-uint64_t BuildCostNs(std::chrono::steady_clock::time_point start) {
-  auto elapsed = std::chrono::steady_clock::now() - start;
-  auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count();
-  return ns <= 0 ? 1 : static_cast<uint64_t>(ns);
-}
-
-std::size_t NormalizedBytes(std::size_t key_bytes, const NormalTBox& built) {
-  // Key text + ~96 bytes per normalized CI (literal vectors + payload).
-  return key_bytes + 96 * built.size() + 64;
-}
-
-std::size_t ClosureBytes(const FpKey& key,
-                         const ContainmentCaches::ClosureEntry& entry) {
-  std::size_t bytes = key.text().size() + entry.error.size() + 64;
-  if (entry.closure != nullptr) {
-    // Engine masks dominate; the factorization is charged at a flat rate.
-    bytes += 8 * entry.closure->engine_masks.size() + 1024;
-  }
-  return bytes;
-}
-
-}  // namespace
-
 std::shared_ptr<const NormalTBox> ContainmentCaches::GetNormalized(
     const TBox& tbox, Vocabulary* vocab, PipelineStats* stats) {
   FpKey key(tbox.ToString(*vocab));
-  {
-    MutexLock lock(&mu_);
-    ++tick_;
-    if (auto* hit = normalized_.Find(key)) {
-      hit->meta.touch = tick_;
-      if (stats) stats->normal_tbox_hits.fetch_add(1, std::memory_order_relaxed);
-      return hit->value;
+  auto [normal, hit] = normalized_.GetOrBuild(std::move(key), [&] {
+    if (stats) {
+      stats->normal_tbox_misses.fetch_add(1, std::memory_order_relaxed);
     }
-  }
-  if (stats) stats->normal_tbox_misses.fetch_add(1, std::memory_order_relaxed);
-  std::shared_ptr<const NormalTBox> built;
-  auto start = std::chrono::steady_clock::now();
-  {
     PhaseTimer timer(stats ? &stats->normalize_ns : nullptr);
-    built = std::make_shared<const NormalTBox>(Normalize(tbox, vocab));
+    return Built{std::make_shared<const NormalTBox>(Normalize(tbox, vocab))};
+  });
+  if (hit && stats) {
+    stats->normal_tbox_hits.fetch_add(1, std::memory_order_relaxed);
   }
-  uint64_t cost = BuildCostNs(start);
-  std::size_t bytes = NormalizedBytes(key.text().size(), *built);
-  MutexLock lock(&mu_);
-  auto [slot, inserted] = normalized_.TryEmplace(std::move(key));
-  if (!inserted) return slot->value;
-  slot->value = built;
-  slot->meta = {tick_, cost, bytes};
-  // Enforcement may evict any entry (this one included) and rehash the
-  // table; `slot` is dead after the call, so return the local ref.
-  EnforceBudgetLocked();
-  return built;
+  return normal;
 }
 
 ContainmentCaches::ClosureEntry ContainmentCaches::GetClosure(
@@ -77,105 +34,31 @@ ContainmentCaches::ClosureEntry ContainmentCaches::GetClosure(
   // Closure verdicts are a pure function of (T, Q, engine); a key that does
   // not round-trip to exactly those parts could alias distinct inputs.
   GQC_AUDIT(ValidateCacheKey(key.text(), {tbox_part, q_part, engine_part}));
-  {
-    MutexLock lock(&mu_);
-    ++tick_;
-    if (auto* hit = closures_.Find(key)) {
-      hit->meta.touch = tick_;
-      if (stats) stats->closure_hits.fetch_add(1, std::memory_order_relaxed);
-      return hit->value;
+  auto [entry, hit] = closures_.GetOrBuild(std::move(key), [&] {
+    if (stats) stats->closure_misses.fetch_add(1, std::memory_order_relaxed);
+    ClosureEntry built;
+    auto closure = ComputeTpClosure(q, tbox, alcq_case, vocab, options);
+    if (closure.ok()) {
+      built.closure =
+          std::make_shared<const TpClosure>(std::move(closure).value());
+    } else {
+      built.error = closure.error();
     }
-  }
-  if (stats) stats->closure_misses.fetch_add(1, std::memory_order_relaxed);
-  ClosureEntry entry;
-  auto start = std::chrono::steady_clock::now();
-  auto closure = ComputeTpClosure(q, tbox, alcq_case, vocab, options);
-  uint64_t cost = BuildCostNs(start);
-  if (closure.ok()) {
-    entry.closure = std::make_shared<const TpClosure>(std::move(closure).value());
-  } else {
-    entry.error = closure.error();
-  }
-  // A closure whose build tripped a resource guard reflects the caller's
-  // budget (or wall clock), not (T, Q) — caching it would degrade later,
-  // better-funded calls. Return it uncached.
-  const ResourceGuard* guard = options.countermodel.limits.guard;
-  if (guard != nullptr && guard->exhausted()) return entry;
-  std::size_t bytes = ClosureBytes(key, entry);
-  MutexLock lock(&mu_);
-  auto [slot, inserted] = closures_.TryEmplace(std::move(key));
-  if (!inserted) return slot->value;
-  slot->value = entry;
-  slot->meta = {tick_, cost, bytes};
-  // Enforcement may evict this very entry and rehash; `slot` is dead after.
-  EnforceBudgetLocked();
+    // A closure whose build tripped a resource guard reflects the caller's
+    // budget (or wall clock), not (T, Q) — caching it would degrade later,
+    // better-funded calls. Return it uncached.
+    const ResourceGuard* guard = options.countermodel.limits.guard;
+    bool cache = guard == nullptr || !guard->exhausted();
+    return Built{std::move(built), 0, cache};
+  });
+  if (hit && stats) stats->closure_hits.fetch_add(1, std::memory_order_relaxed);
   return entry;
-}
-
-void ContainmentCaches::SetBudget(const CacheBudget& budget) {
-  compile_memo_.SetBudget(budget);
-  MutexLock lock(&mu_);
-  budget_ = budget;
-  EnforceBudgetLocked();
-}
-
-std::size_t ContainmentCaches::EnforceBudgetLocked() {
-  if (!budget_.bounded()) return 0;
-  std::size_t entries = normalized_.size() + closures_.size();
-  std::size_t bytes = RetainedBytes(normalized_) + RetainedBytes(closures_);
-  std::size_t drop = OverBudgetDropCount(budget_, entries, bytes);
-  if (drop == 0) return 0;
-  // Closures are the bulk of the bytes; evict them first, normalized TBoxes
-  // only when closures alone cannot satisfy the drop.
-  std::size_t from_closures = std::min(drop, closures_.size());
-  std::size_t freed = EvictLowestScore(&closures_, tick_, from_closures);
-  freed += EvictLowestScore(&normalized_, tick_, drop - from_closures);
-  evicted_ += freed;
-  return freed;
-}
-
-std::size_t ContainmentCaches::Evict(double pressure, PipelineStats* stats) {
-  std::size_t freed = compile_memo_.Evict(pressure);
-  std::size_t bytes_freed = 0;
-  {
-    MutexLock lock(&mu_);
-    freed += EvictLowestScore(&normalized_, tick_,
-                              EvictionCount(normalized_.size(), pressure),
-                              &bytes_freed);
-    freed += EvictLowestScore(&closures_, tick_,
-                              EvictionCount(closures_.size(), pressure),
-                              &bytes_freed);
-    evicted_ += freed;
-  }
-  if (stats != nullptr && freed > 0) {
-    stats->cache_evictions.fetch_add(freed, std::memory_order_relaxed);
-    stats->cache_evicted_bytes.fetch_add(bytes_freed, std::memory_order_relaxed);
-  }
-  return freed;
-}
-
-std::size_t ContainmentCaches::retained_bytes() const {
-  std::size_t total = compile_memo_.retained_bytes();
-  MutexLock lock(&mu_);
-  return total + RetainedBytes(normalized_) + RetainedBytes(closures_);
 }
 
 void ContainmentCaches::Clear() {
   compile_memo_.Clear();
-  MutexLock lock(&mu_);
   normalized_.Clear();
   closures_.Clear();
-  tick_ = 0;
-}
-
-std::size_t ContainmentCaches::normalized_count() const {
-  MutexLock lock(&mu_);
-  return normalized_.size();
-}
-
-std::size_t ContainmentCaches::closure_count() const {
-  MutexLock lock(&mu_);
-  return closures_.size();
 }
 
 }  // namespace gqc

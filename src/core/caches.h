@@ -9,8 +9,6 @@
 #include "src/core/stats.h"
 #include "src/dl/tbox.h"
 #include "src/entailment/compile_memo.h"
-#include "src/util/fingerprint.h"
-#include "src/util/flat_map.h"
 #include "src/util/sync.h"
 
 namespace gqc {
@@ -37,13 +35,8 @@ namespace gqc {
 /// step) and verify the canonical text only on a fingerprint match, so no
 /// fingerprint collision can produce a wrong verdict (DESIGN.md §11).
 ///
-/// Lifecycle (DESIGN.md §12): the caches are bounded and evictable for
-/// long-running serving. SetBudget bounds entries/estimated bytes;
-/// over-budget inserts and explicit Evict(pressure) calls drop the entries
-/// with the lowest retain score (recency × recompute-cost, vlog-style) and
-/// shrink the backing arrays. Eviction can never change a verdict — every
-/// entry is a pure function of its key and is simply recomputed on the next
-/// miss.
+/// Each table is a BoundedTable (DESIGN.md §12). A checker's caches are
+/// never budgeted, so they grow with the distinct inputs one checker sees.
 ///
 /// Lookup/insert is mutex-protected and safe from any thread. Values are
 /// computed OUTSIDE the lock; on a miss the builder may intern fresh names
@@ -73,34 +66,15 @@ class ContainmentCaches {
   /// The shared compile memo; callers wire it into EngineLimits.
   CompiledScopeMemo* compile_memo() { return &compile_memo_; }
 
-  /// Bounds the normalized/closure tables (the memo takes the same budget);
-  /// 0 = unbounded. Applies immediately and to every later insert.
-  void SetBudget(const CacheBudget& budget);
-
-  /// Drops ceil(size * pressure) lowest retain-score entries from each table
-  /// (and the memo) and shrinks the backing arrays; returns entries dropped.
-  /// Records evictions on `stats` when non-null.
-  std::size_t Evict(double pressure, PipelineStats* stats = nullptr);
-
-  /// Summed resident-size estimates of every retained entry.
-  std::size_t retained_bytes() const;
-
   void Clear();
 
-  std::size_t normalized_count() const;
-  std::size_t closure_count() const;
+  std::size_t normalized_count() const { return normalized_.size(); }
 
  private:
-  std::size_t EnforceBudgetLocked() GQC_REQUIRES(mu_);
-
-  mutable Mutex mu_{kLockRankNormalizeCache, "normalize-cache"};
-  CacheBudget budget_ GQC_GUARDED_BY(mu_);
-  uint64_t tick_ GQC_GUARDED_BY(mu_) = 0;
-  uint64_t evicted_ GQC_GUARDED_BY(mu_) = 0;
-  FlatMap<FpKey, Retained<std::shared_ptr<const NormalTBox>>, FpKeyHash>
-      normalized_ GQC_GUARDED_BY(mu_);
-  FlatMap<FpKey, Retained<ClosureEntry>, FpKeyHash> closures_
-      GQC_GUARDED_BY(mu_);
+  BoundedTable<std::shared_ptr<const NormalTBox>> normalized_{
+      kLockRankNormalizeCache, "normalize-cache"};
+  BoundedTable<ClosureEntry> closures_{kLockRankNormalizeCache,
+                                       "closure-cache"};
   CompiledScopeMemo compile_memo_;
 };
 

@@ -14,6 +14,13 @@ std::size_t GraphBytes(const Graph& g) {
   return 64 + 48 * g.NodeCount() + 16 * edges;
 }
 
+/// Retain costs at flat rates, so recency drives eviction among equals. A
+/// published countermodel short-cuts whole disjunct decisions, so each one
+/// adds more to its scope's cost than a verdict memo, which replaces one
+/// strategy pipeline, is worth.
+constexpr uint64_t kCountermodelCost = 1000000;
+constexpr uint64_t kVerdictMemoCost = 100000;
+
 std::size_t ResultBytes(const ContainmentResult& r) {
   std::size_t bytes = 128 + r.attr.note.size();
   if (r.countermodel.has_value()) bytes += GraphBytes(*r.countermodel);
@@ -43,42 +50,26 @@ bool SharedFactBoard::PublishCountermodel(const FpKey& scope_key,
                                           std::size_t role_limit,
                                           PipelineStats* stats) {
   if (!GraphFitsVocabulary(g, concept_limit, role_limit)) return false;
-  {
-    MutexLock lock(&mu_);
-    ++tick_;
-    auto [slot, inserted] = countermodels_.TryEmplace(scope_key);
-    if (inserted) slot->meta.bytes = scope_key.text().size() + 64;
-    std::vector<Graph>& scope = slot->value;
-    if (scope.size() >= kMaxCountermodelsPerScope) return false;
+  auto add = [&](std::vector<Graph>& scope) -> std::size_t {
+    if (scope.size() >= kMaxCountermodelsPerScope) return 0;
     for (const Graph& have : scope) {
-      if (have == g) return false;  // already published by a sibling
+      if (have == g) return 0;  // already published by a sibling
     }
     scope.push_back(g);
-    slot->meta.touch = tick_;
-    slot->meta.bytes += GraphBytes(g);
-    // A published countermodel short-cuts whole disjunct decisions; charge
-    // its retain cost well above a verdict memo's.
-    slot->meta.cost += 1000000;
-    EnforceBudgetLocked();
-  }
-  if (stats != nullptr) {
+    return GraphBytes(g);
+  };
+  bool published = countermodels_.Update(scope_key, kCountermodelCost, add);
+  if (published && stats != nullptr) {
     stats->facts_published.fetch_add(1, std::memory_order_relaxed);
   }
-  return true;
+  return published;
 }
 
 std::optional<Graph> SharedFactBoard::FindRefutation(
     const FpKey& scope_key, const Crpq& p, PipelineStats* stats) const {
-  std::vector<Graph> candidates;
-  {
-    MutexLock lock(&mu_);
-    ++tick_;
-    auto* scope = countermodels_.Find(scope_key);
-    if (scope == nullptr) return std::nullopt;
-    scope->meta.touch = tick_;
-    candidates = scope->value;
-  }
-  for (Graph& g : candidates) {
+  std::optional<std::vector<Graph>> candidates = countermodels_.Find(scope_key);
+  if (!candidates.has_value()) return std::nullopt;
+  for (Graph& g : *candidates) {
     // The scope invariant gives G ⊨ T and G ⊭ Q; G ⊨ p completes the
     // countermodel for this disjunct.
     if (Matches(g, p)) {
@@ -105,103 +96,53 @@ void SharedFactBoard::PublishResult(const FpKey& disjunct_key,
       !GraphFitsVocabulary(*result.central_part, concept_limit, role_limit)) {
     result.central_part.reset();
   }
-  {
-    MutexLock lock(&mu_);
-    ++tick_;
-    auto [slot, inserted] = results_.TryEmplace(disjunct_key);
-    if (!inserted) return;  // first publisher wins; all definite agree anyway
-    std::size_t bytes = disjunct_key.text().size() + ResultBytes(result);
-    slot->value = std::move(result);
-    // Verdict memos replace whole strategy pipelines; keep a flat high cost
-    // so recency drives eviction among them.
-    slot->meta = {tick_, 100000, bytes};
-    EnforceBudgetLocked();
-  }
-  if (stats != nullptr) {
+  auto fill = [&](ContainmentResult& memo) -> std::size_t {
+    // Memos are never kUnknown, so only a fresh entry is. First publisher
+    // wins; all definite verdicts agree anyway.
+    if (memo.verdict != Verdict::kUnknown) return 0;
+    memo = std::move(result);
+    return ResultBytes(memo);
+  };
+  bool published = results_.Update(disjunct_key, kVerdictMemoCost, fill);
+  if (published && stats != nullptr) {
     stats->facts_published.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
 std::optional<ContainmentResult> SharedFactBoard::LookupResult(
     const FpKey& disjunct_key, PipelineStats* stats) const {
-  std::optional<ContainmentResult> out;
-  {
-    MutexLock lock(&mu_);
-    ++tick_;
-    auto* hit = results_.Find(disjunct_key);
-    if (hit == nullptr) return std::nullopt;
-    hit->meta.touch = tick_;
-    out = hit->value;
-  }
-  if (stats != nullptr) {
+  std::optional<ContainmentResult> out = results_.Find(disjunct_key);
+  if (out.has_value() && stats != nullptr) {
     stats->facts_consumed.fetch_add(1, std::memory_order_relaxed);
   }
   return out;
 }
 
 void SharedFactBoard::SetBudget(const CacheBudget& budget) {
-  MutexLock lock(&mu_);
-  budget_ = budget;
-  EnforceBudgetLocked();
+  countermodels_.SetBudget(budget);
+  results_.SetBudget(budget);
 }
 
-std::size_t SharedFactBoard::EnforceBudgetLocked() {
-  if (!budget_.bounded()) return 0;
-  std::size_t entries = countermodels_.size() + results_.size();
-  std::size_t bytes = RetainedBytes(countermodels_) + RetainedBytes(results_);
-  std::size_t drop = OverBudgetDropCount(budget_, entries, bytes);
-  if (drop == 0) return 0;
-  // Verdict memos outnumber countermodel scopes and recompute cheaply;
-  // evict them first.
-  std::size_t from_results = std::min(drop, results_.size());
-  std::size_t freed = EvictLowestScore(&results_, tick_, from_results);
-  freed += EvictLowestScore(&countermodels_, tick_, drop - from_results);
-  return freed;
-}
-
-std::size_t SharedFactBoard::Evict(double pressure, PipelineStats* stats) {
-  std::size_t bytes_freed = 0;
-  std::size_t freed = 0;
-  {
-    MutexLock lock(&mu_);
-    freed += EvictLowestScore(&countermodels_, tick_,
-                              EvictionCount(countermodels_.size(), pressure),
-                              &bytes_freed);
-    freed += EvictLowestScore(&results_, tick_,
-                              EvictionCount(results_.size(), pressure),
-                              &bytes_freed);
-  }
-  if (stats != nullptr && freed > 0) {
-    stats->cache_evictions.fetch_add(freed, std::memory_order_relaxed);
-    stats->cache_evicted_bytes.fetch_add(bytes_freed, std::memory_order_relaxed);
-  }
-  return freed;
+std::size_t SharedFactBoard::Evict(double pressure) {
+  return countermodels_.Evict(pressure).entries +
+         results_.Evict(pressure).entries;
 }
 
 std::size_t SharedFactBoard::retained_bytes() const {
-  MutexLock lock(&mu_);
-  return RetainedBytes(countermodels_) + RetainedBytes(results_);
+  return countermodels_.retained_bytes() + results_.retained_bytes();
 }
 
 void SharedFactBoard::Clear() {
-  MutexLock lock(&mu_);
   countermodels_.Clear();
   results_.Clear();
-  tick_ = 0;
 }
 
 std::size_t SharedFactBoard::countermodel_count() const {
-  MutexLock lock(&mu_);
   std::size_t n = 0;
-  countermodels_.ForEach([&](const FpKey&, const Retained<std::vector<Graph>>& scope) {
-    n += scope.value.size();
+  countermodels_.ForEach([&](const FpKey&, const std::vector<Graph>& scope) {
+    n += scope.size();
   });
   return n;
-}
-
-std::size_t SharedFactBoard::result_count() const {
-  MutexLock lock(&mu_);
-  return results_.size();
 }
 
 }  // namespace gqc

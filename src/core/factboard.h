@@ -10,7 +10,6 @@
 #include "src/graph/graph.h"
 #include "src/query/ucrpq.h"
 #include "src/util/fingerprint.h"
-#include "src/util/flat_map.h"
 #include "src/util/sync.h"
 
 namespace gqc {
@@ -41,14 +40,19 @@ namespace gqc {
 /// countermodel mentioning P-layer symbols would silently alias differently-
 /// named symbols of another pair, so it stays private.
 ///
-/// Lifecycle (DESIGN.md §12): like the other caches, the board is bounded
-/// and evictable. Dropping an entry is always sound — a dropped fact is
-/// merely re-derived by whichever strategy finds it next.
+/// Lifecycle (DESIGN.md §12): both tables are BoundedTables. Dropping an
+/// entry is always sound — a dropped fact is merely re-derived by whichever
+/// strategy finds it next.
 ///
 /// All operations are mutex-protected and safe from any thread; query
 /// evaluation (the G ⊨ p re-check) runs outside the lock on copies.
 class SharedFactBoard {
  public:
+  /// Evictions are counted on `stats` when non-null.
+  explicit SharedFactBoard(PipelineStats* stats = nullptr)
+      : countermodels_(kLockRankFactBoard, "fact-board-countermodels", stats),
+        results_(kLockRankFactBoard, "fact-board-results", stats) {}
+
   /// Max countermodels retained per scope; later publishes are dropped
   /// (counted facts come from early, cheap refutations anyway).
   static constexpr std::size_t kMaxCountermodelsPerScope = 8;
@@ -79,13 +83,13 @@ class SharedFactBoard {
   std::optional<ContainmentResult> LookupResult(const FpKey& disjunct_key,
                                                 PipelineStats* stats) const;
 
-  /// Bounds both tables (entries are scopes/verdicts; bytes are resident
-  /// estimates; 0 = unbounded). Applies immediately and to later publishes.
+  /// Bounds each table (entries are scopes/verdicts; bytes are resident
+  /// estimates; 0 = unbounded). Applies now and to later publishes.
   void SetBudget(const CacheBudget& budget);
 
-  /// Drops ceil(size * pressure) lowest retain-score entries from each table
-  /// and shrinks the backing arrays; returns entries dropped.
-  std::size_t Evict(double pressure, PipelineStats* stats = nullptr);
+  /// Drops ceil(size * pressure) lowest retain-score entries from each table;
+  /// returns entries dropped.
+  std::size_t Evict(double pressure);
 
   /// Summed resident-size estimates of every retained fact.
   std::size_t retained_bytes() const;
@@ -93,20 +97,13 @@ class SharedFactBoard {
   void Clear();
 
   std::size_t countermodel_count() const;
-  std::size_t result_count() const;
+  std::size_t result_count() const { return results_.size(); }
 
  private:
-  std::size_t EnforceBudgetLocked() GQC_REQUIRES(mu_);
-
-  mutable Mutex mu_{kLockRankFactBoard, "fact-board"};
-  CacheBudget budget_ GQC_GUARDED_BY(mu_);
-  /// tick_ and the tables are mutable so const lookups can refresh retain
-  /// recency — logical constness: lookups never change what a key maps to.
-  mutable uint64_t tick_ GQC_GUARDED_BY(mu_) = 0;
-  mutable FlatMap<FpKey, Retained<std::vector<Graph>>, FpKeyHash>
-      countermodels_ GQC_GUARDED_BY(mu_);
-  mutable FlatMap<FpKey, Retained<ContainmentResult>, FpKeyHash>
-      results_ GQC_GUARDED_BY(mu_);
+  /// Mutable so const lookups can refresh retain recency — logical
+  /// constness: lookups never change what a key maps to.
+  mutable BoundedTable<std::vector<Graph>> countermodels_;
+  mutable BoundedTable<ContainmentResult> results_;
 };
 
 /// True iff every concept/role id used by `g` (labels and edges) is below

@@ -2,7 +2,6 @@
 #define GQC_ENGINE_ENGINE_H_
 
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "src/engine/engine_core.h"
@@ -67,17 +66,6 @@ class Engine {
 
   /// Drops memoized contexts and zeroes the stats (for measurement runs).
   void ResetState() { core_.ResetState(); }
-
-  /// Parses one JSON-lines batch item: a flat object with string fields
-  /// "id", "schema", "p", "q" ("id" and "schema" optional).
-  static Result<BatchItem> ParseBatchItemJson(std::string_view json_line) {
-    return gqc::ParseBatchItemJson(json_line);
-  }
-
-  /// Serializes an outcome as one JSON line (no trailing newline).
-  static std::string OutcomeToJson(const BatchOutcome& outcome) {
-    return gqc::OutcomeToJson(outcome);
-  }
 
  private:
   EngineCore core_;

@@ -34,12 +34,6 @@ double MsSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double, std::milli>(elapsed).count();
 }
 
-uint64_t NsSince(std::chrono::steady_clock::time_point start) {
-  auto elapsed = std::chrono::steady_clock::now() - start;
-  auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count();
-  return ns <= 0 ? 1 : static_cast<uint64_t>(ns);
-}
-
 std::size_t VocabBytes(const Vocabulary& vocab) {
   // Interned name strings + id tables, at a flat per-symbol rate.
   return 48 * (vocab.concept_count() + vocab.role_count());
@@ -81,41 +75,29 @@ std::shared_ptr<const EngineCore::SchemaContext> EngineCore::BuildSchemaContext(
   return ctx;
 }
 
-std::shared_ptr<const EngineCore::SchemaContext> EngineCore::GetSchemaContext(
-    const std::string& schema_text) {
-  FpKey key(schema_text);
-  {
-    MutexLock lock(&ctx_mu_);
-    ++ctx_tick_;
-    if (auto* hit = schema_ctxs_.Find(key)) {
-      hit->meta.touch = ctx_tick_;
-      stats_.schema_ctx_hits.fetch_add(1, std::memory_order_relaxed);
-      if (hit->value->warm) {
-        stats_.warmstart_hits.fetch_add(1, std::memory_order_relaxed);
-      }
-      return hit->value;
+EngineCore::SchemaTable::Lookup EngineCore::LookupSchemaContext(
+    const std::string& schema_text, bool warm) {
+  // Built outside the table lock: on a racing double-miss both threads build
+  // the identical context (it is a pure function of the text) and the first
+  // insert wins, so determinism is unaffected.
+  SchemaTable::Lookup got = schema_ctxs_.GetOrBuild(FpKey(schema_text), [&] {
+    if (!warm) stats_.schema_ctx_misses.fetch_add(1, std::memory_order_relaxed);
+    auto ctx = BuildSchemaContext(schema_text, warm);
+    std::size_t bytes = 96 * ctx->tbox.size() + VocabBytes(ctx->vocab) + 128;
+    return Built{std::move(ctx), bytes};
+  });
+  if (got.hit && !warm) {
+    stats_.schema_ctx_hits.fetch_add(1, std::memory_order_relaxed);
+    if (got.value->warm) {
+      stats_.warmstart_hits.fetch_add(1, std::memory_order_relaxed);
     }
   }
-  stats_.schema_ctx_misses.fetch_add(1, std::memory_order_relaxed);
+  return got;
+}
 
-  // Built outside the lock: on a racing double-miss both threads build the
-  // identical context (it is a pure function of the text) and the first
-  // insert wins, so determinism is unaffected.
-  auto build_start = std::chrono::steady_clock::now();
-  auto ctx = BuildSchemaContext(schema_text, /*warm=*/false);
-  uint64_t cost = NsSince(build_start);
-  std::size_t bytes = schema_text.size() + 96 * ctx->tbox.size() +
-                      VocabBytes(ctx->vocab) + 128;
-
-  MutexLock lock(&ctx_mu_);
-  auto [slot, inserted] = schema_ctxs_.TryEmplace(std::move(key));
-  if (!inserted) return slot->value;
-  slot->value = ctx;
-  slot->meta = {ctx_tick_, cost, bytes};
-  // Enforcement may evict this very entry and rehash the table; `slot` is
-  // dead after the call, so return the local ref.
-  EnforceCtxBudgetLocked();
-  return ctx;
+std::shared_ptr<const EngineCore::SchemaContext> EngineCore::GetSchemaContext(
+    const std::string& schema_text) {
+  return LookupSchemaContext(schema_text, /*warm=*/false).value;
 }
 
 std::shared_ptr<const EngineCore::QueryContext> EngineCore::BuildQueryContext(
@@ -173,53 +155,44 @@ std::shared_ptr<const EngineCore::QueryContext> EngineCore::BuildQueryContext(
   return ctx;
 }
 
-std::shared_ptr<const EngineCore::QueryContext> EngineCore::GetQueryContext(
+EngineCore::QueryTable::Lookup EngineCore::LookupQueryContext(
     const std::string& schema_text, const std::string& q_text,
-    ResourceGuard* guard) {
+    ResourceGuard* guard, bool warm) {
   std::string key_text = JoinKeyParts(schema_text, q_text);
   // Pair verdicts are a pure function of (schema text, Q text) given the
   // engine's pinned options; the composite key must round-trip to exactly
   // those parts or two distinct contexts could alias.
   GQC_AUDIT(ValidateCacheKey(key_text, {schema_text, q_text}));
   FpKey key(std::move(key_text));
-  {
-    MutexLock lock(&ctx_mu_);
-    ++ctx_tick_;
-    if (auto* hit = query_ctxs_.Find(key)) {
-      hit->meta.touch = ctx_tick_;
-      stats_.query_ctx_hits.fetch_add(1, std::memory_order_relaxed);
-      if (hit->value->closure != nullptr) {
-        stats_.closure_hits.fetch_add(1, std::memory_order_relaxed);
-      }
-      if (hit->value->warm) {
-        stats_.warmstart_hits.fetch_add(1, std::memory_order_relaxed);
-      }
-      return hit->value;
+  QueryTable::Lookup got = query_ctxs_.GetOrBuild(std::move(key), [&] {
+    if (!warm) stats_.query_ctx_misses.fetch_add(1, std::memory_order_relaxed);
+    auto ctx = BuildQueryContext(schema_text, q_text, guard, warm);
+    std::size_t bytes = VocabBytes(ctx->vocab) + 256;
+    if (ctx->closure != nullptr) {
+      bytes += 8 * ctx->closure->engine_masks.size() + 1024;
+    }
+    // A context whose closure build tripped the caller's guard reflects that
+    // caller's budget (or the batch deadline), not (schema, Q); caching it
+    // would degrade later, better-funded pairs. Return it uncached.
+    bool cache = guard == nullptr || !guard->exhausted();
+    return Built{std::move(ctx), bytes, cache};
+  });
+  if (got.hit && !warm) {
+    stats_.query_ctx_hits.fetch_add(1, std::memory_order_relaxed);
+    if (got.value->closure != nullptr) {
+      stats_.closure_hits.fetch_add(1, std::memory_order_relaxed);
+    }
+    if (got.value->warm) {
+      stats_.warmstart_hits.fetch_add(1, std::memory_order_relaxed);
     }
   }
-  stats_.query_ctx_misses.fetch_add(1, std::memory_order_relaxed);
+  return got;
+}
 
-  auto build_start = std::chrono::steady_clock::now();
-  auto ctx = BuildQueryContext(schema_text, q_text, guard, /*warm=*/false);
-  uint64_t cost = NsSince(build_start);
-
-  // A context whose closure build tripped the caller's guard reflects that
-  // caller's budget (or the batch deadline), not (schema, Q); caching it
-  // would degrade later, better-funded pairs. Return it uncached.
-  if (guard != nullptr && guard->exhausted()) return ctx;
-
-  std::size_t bytes = key.text().size() + VocabBytes(ctx->vocab) + 256;
-  if (ctx->closure != nullptr) {
-    bytes += 8 * ctx->closure->engine_masks.size() + 1024;
-  }
-  MutexLock lock(&ctx_mu_);
-  auto [slot, inserted] = query_ctxs_.TryEmplace(std::move(key));
-  if (!inserted) return slot->value;
-  slot->value = ctx;
-  slot->meta = {ctx_tick_, cost, bytes};
-  // Enforcement may evict this very entry and rehash; `slot` is dead after.
-  EnforceCtxBudgetLocked();
-  return ctx;
+std::shared_ptr<const EngineCore::QueryContext> EngineCore::GetQueryContext(
+    const std::string& schema_text, const std::string& q_text,
+    ResourceGuard* guard) {
+  return LookupQueryContext(schema_text, q_text, guard, /*warm=*/false).value;
 }
 
 BatchOutcome EngineCore::DecidePair(const BatchItem& item,
@@ -333,8 +306,7 @@ BatchOutcome EngineCore::DecidePair(const BatchItem& item,
       per_disjunct[i] = RunPortfolio(sctx, popts);
     };
     per_disjunct.resize(disjuncts.size());
-    if (options_.parallel_disjuncts && disjuncts.size() > 1 &&
-        pool_.concurrency() > 1) {
+    if (disjuncts.size() > 1 && pool_.concurrency() > 1) {
       pool_.ParallelFor(disjuncts.size(), decide_one);
     } else {
       for (std::size_t i = 0; i < disjuncts.size(); ++i) {
@@ -345,27 +317,11 @@ BatchOutcome EngineCore::DecidePair(const BatchItem& item,
         }
       }
     }
-    ContainmentResult combined =
-        ContainmentChecker::Combine(std::move(per_disjunct));
-    TallyPair(&stats_, combined);
-    out.ok = true;
-    out.verdict = combined.verdict;
-    out.attr = std::move(combined.attr);
-    if (combined.countermodel.has_value()) {
-      out.countermodel_nodes = combined.countermodel->NodeCount();
-    } else if (combined.central_part.has_value()) {
-      out.countermodel_nodes = combined.central_part->NodeCount();
-    }
-    out.wall_ms = MsSince(start);
-    return out;
-  }
-  // Disjunct-level parallelism requires every DecideDisjunct call to be
-  // read-only on the shared pair vocabulary, which holds exactly when the
-  // closure is precomputed (or the reduction cannot trigger for this Q).
-  bool parallel = options_.parallel_disjuncts && disjuncts.size() > 1 &&
-                  pool_.concurrency() > 1 &&
-                  (closure != nullptr || !qctx->reduction_applicable);
-  if (parallel) {
+  } else if (disjuncts.size() > 1 && pool_.concurrency() > 1 &&
+             (closure != nullptr || !qctx->reduction_applicable)) {
+    // Disjunct-level parallelism requires every DecideDisjunct call to be
+    // read-only on the shared pair vocabulary, which holds exactly when the
+    // closure is precomputed (or the reduction cannot trigger for this Q).
     per_disjunct.resize(disjuncts.size());
     // One guard per disjunct (fresh step/memory counters, shared absolute
     // deadline + token) keeps budget verdicts independent of scheduling.
@@ -392,7 +348,6 @@ BatchOutcome EngineCore::DecidePair(const BatchItem& item,
   }
   ContainmentResult combined = ContainmentChecker::Combine(std::move(per_disjunct));
   TallyPair(&stats_, combined);
-
   out.ok = true;
   out.verdict = combined.verdict;
   out.attr = std::move(combined.attr);
@@ -439,81 +394,38 @@ void EngineCore::SetCacheBudget(const CacheBudget& budget) {
   regex_cache_.SetBudget(budget);
   facts_.SetBudget(budget);
   compile_memo_.SetBudget(budget);
-  MutexLock lock(&ctx_mu_);
-  ctx_budget_ = budget;
-  EnforceCtxBudgetLocked();
-}
-
-std::size_t EngineCore::EnforceCtxBudgetLocked() {
-  if (!ctx_budget_.bounded()) return 0;
-  std::size_t entries = schema_ctxs_.size() + query_ctxs_.size();
-  std::size_t bytes = RetainedBytes(schema_ctxs_) + RetainedBytes(query_ctxs_);
-  std::size_t drop = OverBudgetDropCount(ctx_budget_, entries, bytes);
-  if (drop == 0) return 0;
-  // Query contexts dominate (closures) and depend on schema contexts, so
-  // evict them first; schema contexts go only when that is not enough.
-  std::size_t from_queries = std::min(drop, query_ctxs_.size());
-  std::size_t bytes_freed = 0;
-  std::size_t freed = EvictLowestScore(&query_ctxs_, ctx_tick_, from_queries,
-                                       &bytes_freed);
-  freed += EvictLowestScore(&schema_ctxs_, ctx_tick_, drop - from_queries,
-                            &bytes_freed);
-  stats_.cache_evictions.fetch_add(freed, std::memory_order_relaxed);
-  stats_.cache_evicted_bytes.fetch_add(bytes_freed, std::memory_order_relaxed);
-  return freed;
+  schema_ctxs_.SetBudget(budget);
+  query_ctxs_.SetBudget(budget);
 }
 
 std::size_t EngineCore::Evict(double pressure) {
-  std::size_t freed = 0;
-  freed += regex_cache_.Evict(pressure, &stats_);
-  freed += facts_.Evict(pressure, &stats_);
-  std::size_t memo_freed = compile_memo_.Evict(pressure);
-  stats_.cache_evictions.fetch_add(memo_freed, std::memory_order_relaxed);
-  freed += memo_freed;
-  {
-    MutexLock lock(&ctx_mu_);
-    std::size_t bytes_freed = 0;
-    std::size_t n = 0;
-    n += EvictLowestScore(&schema_ctxs_, ctx_tick_,
-                          EvictionCount(schema_ctxs_.size(), pressure),
-                          &bytes_freed);
-    n += EvictLowestScore(&query_ctxs_, ctx_tick_,
-                          EvictionCount(query_ctxs_.size(), pressure),
-                          &bytes_freed);
-    stats_.cache_evictions.fetch_add(n, std::memory_order_relaxed);
-    stats_.cache_evicted_bytes.fetch_add(bytes_freed, std::memory_order_relaxed);
-    freed += n;
-  }
+  std::size_t freed = regex_cache_.Evict(pressure) + facts_.Evict(pressure) +
+                      compile_memo_.Evict(pressure) +
+                      schema_ctxs_.Evict(pressure).entries +
+                      query_ctxs_.Evict(pressure).entries;
   RefreshLifecycleGauges();
   return freed;
 }
 
 std::size_t EngineCore::retained_bytes() const {
-  std::size_t total = regex_cache_.retained_bytes() + facts_.retained_bytes() +
-                      compile_memo_.retained_bytes();
-  MutexLock lock(&ctx_mu_);
-  return total + RetainedBytes(schema_ctxs_) + RetainedBytes(query_ctxs_);
+  return regex_cache_.retained_bytes() + facts_.retained_bytes() +
+         compile_memo_.retained_bytes() + schema_ctxs_.retained_bytes() +
+         query_ctxs_.retained_bytes();
 }
 
 EngineCore::SnapshotKeys EngineCore::ExportSnapshotKeys() const {
   SnapshotKeys keys;
-  {
-    MutexLock lock(&ctx_mu_);
-    schema_ctxs_.ForEach(
-        [&](const FpKey& k, const Retained<std::shared_ptr<const SchemaContext>>& r) {
-          // Contexts that failed to parse are not worth re-warming.
-          if (r.value->error.empty()) keys.schemas.push_back(k.text());
-        });
-    query_ctxs_.ForEach(
-        [&](const FpKey& k, const Retained<std::shared_ptr<const QueryContext>>& r) {
-          if (!r.value->error.empty()) return;
-          auto parts = SplitKeyParts(k.text());
-          if (parts.has_value() && parts->size() == 2) {
-            keys.queries.emplace_back(std::move((*parts)[0]),
-                                      std::move((*parts)[1]));
-          }
-        });
-  }
+  schema_ctxs_.ForEach([&](const FpKey& k, const auto& ctx) {
+    // Contexts that failed to parse are not worth re-warming.
+    if (ctx->error.empty()) keys.schemas.push_back(k.text());
+  });
+  query_ctxs_.ForEach([&](const FpKey& k, const auto& ctx) {
+    if (!ctx->error.empty()) return;
+    auto parts = SplitKeyParts(k.text());
+    if (parts.has_value() && parts->size() == 2) {
+      keys.queries.emplace_back(std::move((*parts)[0]), std::move((*parts)[1]));
+    }
+  });
   std::sort(keys.schemas.begin(), keys.schemas.end());
   std::sort(keys.queries.begin(), keys.queries.end());
   return keys;
@@ -522,47 +434,12 @@ EngineCore::SnapshotKeys EngineCore::ExportSnapshotKeys() const {
 std::size_t EngineCore::WarmStart(const SnapshotKeys& keys) {
   std::size_t loaded = 0;
   for (const std::string& schema_text : keys.schemas) {
-    FpKey key(schema_text);
-    {
-      MutexLock lock(&ctx_mu_);
-      if (schema_ctxs_.Find(key) != nullptr) continue;
-    }
-    auto build_start = std::chrono::steady_clock::now();
-    auto ctx = BuildSchemaContext(schema_text, /*warm=*/true);
-    uint64_t cost = NsSince(build_start);
-    std::size_t bytes = schema_text.size() + 96 * ctx->tbox.size() +
-                        VocabBytes(ctx->vocab) + 128;
-    MutexLock lock(&ctx_mu_);
-    ++ctx_tick_;
-    auto [slot, inserted] = schema_ctxs_.TryEmplace(std::move(key));
-    if (inserted) {
-      slot->value = std::move(ctx);
-      slot->meta = {ctx_tick_, cost, bytes};
-      EnforceCtxBudgetLocked();
-      ++loaded;
-    }
+    if (!LookupSchemaContext(schema_text, /*warm=*/true).hit) ++loaded;
   }
   for (const auto& [schema_text, q_text] : keys.queries) {
-    FpKey key(JoinKeyParts(schema_text, q_text));
-    {
-      MutexLock lock(&ctx_mu_);
-      if (query_ctxs_.Find(key) != nullptr) continue;
-    }
-    auto build_start = std::chrono::steady_clock::now();
-    auto ctx = BuildQueryContext(schema_text, q_text, /*guard=*/nullptr,
-                                 /*warm=*/true);
-    uint64_t cost = NsSince(build_start);
-    std::size_t bytes = key.text().size() + VocabBytes(ctx->vocab) + 256;
-    if (ctx->closure != nullptr) {
-      bytes += 8 * ctx->closure->engine_masks.size() + 1024;
-    }
-    MutexLock lock(&ctx_mu_);
-    ++ctx_tick_;
-    auto [slot, inserted] = query_ctxs_.TryEmplace(std::move(key));
-    if (inserted) {
-      slot->value = std::move(ctx);
-      slot->meta = {ctx_tick_, cost, bytes};
-      EnforceCtxBudgetLocked();
+    if (!LookupQueryContext(schema_text, q_text, /*guard=*/nullptr,
+                            /*warm=*/true)
+             .hit) {
       ++loaded;
     }
   }
@@ -585,12 +462,8 @@ std::string EngineCore::StatsJson() {
 }
 
 void EngineCore::ResetState() {
-  {
-    MutexLock lock(&ctx_mu_);
-    schema_ctxs_.Clear();
-    query_ctxs_.Clear();
-    ctx_tick_ = 0;
-  }
+  schema_ctxs_.Clear();
+  query_ctxs_.Clear();
   regex_cache_.Clear();
   facts_.Clear();
   compile_memo_.Clear();

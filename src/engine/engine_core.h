@@ -28,9 +28,6 @@ struct EngineOptions {
   /// list (empty = mode default) selects the strategy order in sequential
   /// mode and the racing pool in portfolio mode.
   ContainmentOptions containment;
-  /// Also parallelize across the disjuncts of one P (when its Tp closure is
-  /// precomputed, so disjunct decisions are read-only on the pair state).
-  bool parallel_disjuncts = true;
   /// Portfolio mode: decide each disjunct by racing the applicable
   /// strategies on the pool (first definite verdict cancels the rest) with
   /// fact sharing through the engine's SharedFactBoard, instead of running
@@ -90,12 +87,13 @@ struct BatchOutcome {
 ///   - a compile memo for the per-solve word-mask compilations
 ///   - the portfolio fact board
 ///
-/// Lifecycle (DESIGN.md §12): every table above is bounded by
-/// SetCacheBudget, evictable via Evict(pressure), and measurable via
-/// retained_bytes(). Context keys can be exported (ExportSnapshotKeys) and
-/// re-imported (WarmStart) to persist cache warmth across process restarts;
-/// only *keys* are persisted — values are recomputed on load, so a snapshot
-/// can never alter a verdict.
+/// Lifecycle (DESIGN.md §12): each of the seven tables above (two context
+/// tables, the regex cache, two fact-board tables, two compile-memo tables)
+/// is a BoundedTable — bounded by SetCacheBudget, evictable via
+/// Evict(pressure), and measurable via retained_bytes(). Context keys can be
+/// exported (ExportSnapshotKeys) and re-imported (WarmStart) to persist cache
+/// warmth across process restarts; only *keys* are persisted — values are
+/// recomputed on load, so a snapshot can never alter a verdict.
 class EngineCore {
  public:
   explicit EngineCore(EngineOptions options = {});
@@ -153,15 +151,15 @@ class EngineCore {
   void CancelAll() GQC_EXCLUDES(cancel_mu_);
 
   std::shared_ptr<const SchemaContext> GetSchemaContext(
-      const std::string& schema_text) GQC_EXCLUDES(ctx_mu_);
+      const std::string& schema_text);
   /// `guard` (optional) governs the closure build on a context miss; a
   /// context whose closure build tripped the guard reflects that caller's
   /// budget, not (schema, Q), and is returned uncached.
   std::shared_ptr<const QueryContext> GetQueryContext(
       const std::string& schema_text, const std::string& q_text,
-      ResourceGuard* guard) GQC_EXCLUDES(ctx_mu_);
+      ResourceGuard* guard);
 
-  /// Bounds every memoized table (context maps, regex cache, fact board,
+  /// Bounds every memoized table (context tables, regex cache, fact board,
   /// compile memo) — the budget applies to each table separately, not to
   /// their sum. 0 = unbounded.
   void SetCacheBudget(const CacheBudget& budget);
@@ -181,7 +179,7 @@ class EngineCore {
     /// (schema text, Q text) pairs.
     std::vector<std::pair<std::string, std::string>> queries;
   };
-  SnapshotKeys ExportSnapshotKeys() const GQC_EXCLUDES(ctx_mu_);
+  SnapshotKeys ExportSnapshotKeys() const;
 
   /// Rebuilds contexts for the given keys (values recomputed from scratch —
   /// a snapshot carries no values, so warm-start cannot alter verdicts) and
@@ -192,7 +190,6 @@ class EngineCore {
   /// Total threads the core decides pairs with.
   std::size_t threads() const { return pool_.concurrency(); }
   ThreadPool& pool() { return pool_; }
-  RegexCompileCache& regex_cache() { return regex_cache_; }
   const EngineOptions& options() const { return options_; }
 
   PipelineStats& stats() { return stats_; }
@@ -208,34 +205,40 @@ class EngineCore {
   void ResetState();
 
  private:
+  using SchemaTable = BoundedTable<std::shared_ptr<const SchemaContext>>;
+  using QueryTable = BoundedTable<std::shared_ptr<const QueryContext>>;
+
+  /// The lookup-or-build path shared by live requests and warm-start. Live
+  /// lookups (warm = false) count context hits and misses; warm-start
+  /// lookups count nothing here (WarmStart tallies what it loads).
+  SchemaTable::Lookup LookupSchemaContext(const std::string& schema_text,
+                                          bool warm);
+  QueryTable::Lookup LookupQueryContext(const std::string& schema_text,
+                                        const std::string& q_text,
+                                        ResourceGuard* guard, bool warm);
   std::shared_ptr<const SchemaContext> BuildSchemaContext(
       const std::string& schema_text, bool warm);
   std::shared_ptr<const QueryContext> BuildQueryContext(
       const std::string& schema_text, const std::string& q_text,
       ResourceGuard* guard, bool warm);
-  std::size_t EnforceCtxBudgetLocked() GQC_REQUIRES(ctx_mu_);
 
   EngineOptions options_;
+  /// Declared before the tables: every table counts its evictions here.
   PipelineStats stats_;
   ThreadPool pool_;
-  RegexCompileCache regex_cache_;
+  RegexCompileCache regex_cache_{&stats_};
   /// Portfolio-mode fact exchange: countermodels and definite verdicts
   /// shared across strategies, disjuncts, and pairs (cleared by ResetState).
-  SharedFactBoard facts_;
+  SharedFactBoard facts_{&stats_};
   /// Per-solve compiled-artifact memo, wired into every downstream search
   /// through EngineLimits (unless the caller supplied their own).
-  CompiledScopeMemo compile_memo_;
-
-  /// Guards the memoized context maps; values are computed outside the lock
-  /// (a racing double-miss builds the identical context; first insert wins).
-  /// Mutable so const inspection (retained_bytes, ExportSnapshotKeys) locks.
-  mutable Mutex ctx_mu_{kLockRankEngineContext, "engine-ctx"};
-  CacheBudget ctx_budget_ GQC_GUARDED_BY(ctx_mu_);
-  uint64_t ctx_tick_ GQC_GUARDED_BY(ctx_mu_) = 0;
-  FlatMap<FpKey, Retained<std::shared_ptr<const SchemaContext>>, FpKeyHash>
-      schema_ctxs_ GQC_GUARDED_BY(ctx_mu_);
-  FlatMap<FpKey, Retained<std::shared_ptr<const QueryContext>>, FpKeyHash>
-      query_ctxs_ GQC_GUARDED_BY(ctx_mu_);
+  CompiledScopeMemo compile_memo_{&stats_};
+  /// Memoized contexts; values are built outside the table locks (a racing
+  /// double-miss builds the identical context; first insert wins).
+  SchemaTable schema_ctxs_{kLockRankEngineContext, "engine-schema-ctx",
+                           &stats_};
+  QueryTable query_ctxs_{kLockRankEngineContext, "engine-query-ctx",
+                         &stats_};
 
   /// Guards the registry of in-flight control cancellation tokens (the list
   /// CancelAll walks); the tokens themselves are wait-free once copied out.

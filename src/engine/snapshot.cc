@@ -1,5 +1,9 @@
 #include "src/engine/snapshot.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <cstdint>
 #include <fstream>
 #include <sstream>
@@ -136,16 +140,30 @@ Result<EngineCore::SnapshotKeys> DecodeSnapshot(std::string_view bytes) {
 
 Result<bool> SaveSnapshot(const EngineCore& core, const std::string& path) {
   std::string bytes = EncodeSnapshot(core.ExportSnapshotKeys());
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return Result<bool>::Error("snapshot: cannot open " + path);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  out.flush();
-  if (!out) return Result<bool>::Error("snapshot: write failed for " + path);
+  // Write a sibling temp file and rename it over `path` only once it is
+  // durable: a kill or a full disk mid-save then leaves the last good
+  // snapshot in place.
+  const std::string tmp = path + ".tmp";
+  int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+  if (fd < 0) return Result<bool>::Error("snapshot: cannot create " + tmp);
+  std::size_t written = 0;
+  // lint: bounded(short writes; each iteration writes at least one byte)
+  while (written < bytes.size()) {
+    ssize_t n = ::write(fd, bytes.data() + written, bytes.size() - written);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) break;
+    written += static_cast<std::size_t>(n);
+  }
+  bool ok = written == bytes.size() && ::fsync(fd) == 0;
+  ok = ::close(fd) == 0 && ok;
+  if (!ok || ::rename(tmp.c_str(), path.c_str()) != 0) {
+    ::unlink(tmp.c_str());
+    return Result<bool>::Error("snapshot: write failed for " + path);
+  }
   return true;
 }
 
-Result<uint64_t> LoadSnapshot(EngineCore* core, const std::string& path,
-                              bool count_rejected) {
+Result<uint64_t> LoadSnapshot(EngineCore* core, const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return Result<uint64_t>::Error("snapshot: cannot open " + path);
   std::ostringstream buf;
@@ -153,9 +171,7 @@ Result<uint64_t> LoadSnapshot(EngineCore* core, const std::string& path,
   std::string bytes = std::move(buf).str();
   auto keys = DecodeSnapshot(bytes);
   if (!keys.ok()) {
-    if (count_rejected) {
-      core->stats().warmstart_rejected.fetch_add(1, std::memory_order_relaxed);
-    }
+    core->stats().warmstart_rejected.fetch_add(1, std::memory_order_relaxed);
     return Result<uint64_t>::Error(keys.error());
   }
   return static_cast<uint64_t>(core->WarmStart(keys.value()));

@@ -37,16 +37,17 @@ std::string EncodeSnapshot(const EngineCore::SnapshotKeys& keys);
 /// mismatch.
 Result<EngineCore::SnapshotKeys> DecodeSnapshot(std::string_view bytes);
 
-/// Exports `core`'s context keys to `path` (overwrites). Errors on I/O
-/// failure.
+/// Exports `core`'s context keys to `path`, atomically: the bytes go to
+/// `path.tmp`, which is fsync'ed and renamed over `path`, so a crash or a
+/// full disk mid-save never destroys the previous snapshot. Errors on I/O
+/// failure, leaving `path` untouched.
 Result<bool> SaveSnapshot(const EngineCore& core, const std::string& path);
 
 /// Loads, verifies, and warm-starts `core` from `path`. Returns the number
 /// of contexts loaded; errors on I/O failure or a corrupt snapshot (the
-/// core is left untouched in that case, and stats().warmstart_rejected is
-/// bumped when `count_rejected` is true).
-Result<uint64_t> LoadSnapshot(EngineCore* core, const std::string& path,
-                              bool count_rejected = true);
+/// core is left untouched in that case, and a corrupt snapshot bumps
+/// stats().warmstart_rejected).
+Result<uint64_t> LoadSnapshot(EngineCore* core, const std::string& path);
 
 }  // namespace gqc
 

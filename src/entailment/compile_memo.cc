@@ -1,6 +1,5 @@
 #include "src/entailment/compile_memo.h"
 
-#include <chrono>
 #include <string>
 #include <utility>
 
@@ -79,116 +78,26 @@ std::string ThetaKey(const TypeSpace& space, const std::vector<Type>& theta) {
   return key;
 }
 
-uint64_t BuildCostNs(std::chrono::steady_clock::time_point start) {
-  auto elapsed = std::chrono::steady_clock::now() - start;
-  auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count();
-  return ns <= 0 ? 1 : static_cast<uint64_t>(ns);
-}
-
 }  // namespace
 
 std::shared_ptr<const CompiledBooleanCis> CompiledScopeMemo::GetBooleanCis(
     const TypeSpace& space, const NormalTBox& tbox) {
-  FpKey key(BooleanCisKey(space, tbox));
-  {
-    MutexLock lock(&mu_);
-    ++tick_;
-    if (auto* hit = boolean_.Find(key)) {
-      hit->meta.touch = tick_;
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      return hit->value;
-    }
-  }
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  auto start = std::chrono::steady_clock::now();
-  auto built = std::make_shared<const CompiledBooleanCis>(space, tbox);
-  uint64_t cost = BuildCostNs(start);
-  std::size_t bytes = key.text().size() + 32 * tbox.size() + 64;
-  MutexLock lock(&mu_);
-  auto [slot, inserted] = boolean_.TryEmplace(std::move(key));
-  if (!inserted) return slot->value;
-  slot->value = built;
-  slot->meta = {tick_, cost, bytes};
-  // Enforcement may evict this very entry and rehash the table; `slot` is
-  // dead after the call, so return the local ref.
-  EnforceBudgetLocked();
-  return built;
+  auto [cis, hit] = boolean_.GetOrBuild(FpKey(BooleanCisKey(space, tbox)), [&] {
+    return Built{std::make_shared<const CompiledBooleanCis>(space, tbox),
+                 32 * tbox.size() + 64};
+  });
+  (hit ? hits_ : misses_).fetch_add(1, std::memory_order_relaxed);
+  return cis;
 }
 
 std::shared_ptr<const CompiledTheta> CompiledScopeMemo::GetTheta(
     const TypeSpace& space, const std::vector<Type>& theta) {
-  FpKey key(ThetaKey(space, theta));
-  {
-    MutexLock lock(&mu_);
-    ++tick_;
-    if (auto* hit = theta_.Find(key)) {
-      hit->meta.touch = tick_;
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      return hit->value;
-    }
-  }
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  auto start = std::chrono::steady_clock::now();
-  auto built = std::make_shared<const CompiledTheta>(space, theta);
-  uint64_t cost = BuildCostNs(start);
-  std::size_t bytes = key.text().size() + 24 * theta.size() + 64;
-  MutexLock lock(&mu_);
-  auto [slot, inserted] = theta_.TryEmplace(std::move(key));
-  if (!inserted) return slot->value;
-  slot->value = built;
-  slot->meta = {tick_, cost, bytes};
-  // Enforcement may evict this very entry and rehash; `slot` is dead after.
-  EnforceBudgetLocked();
-  return built;
-}
-
-void CompiledScopeMemo::SetBudget(const CacheBudget& budget) {
-  MutexLock lock(&mu_);
-  budget_ = budget;
-  EnforceBudgetLocked();
-}
-
-std::size_t CompiledScopeMemo::EnforceBudgetLocked() {
-  if (!budget_.bounded()) return 0;
-  // The entry budget is shared by both tables; split eviction pro rata.
-  std::size_t entries = boolean_.size() + theta_.size();
-  std::size_t bytes = RetainedBytes(boolean_) + RetainedBytes(theta_);
-  std::size_t drop = OverBudgetDropCount(budget_, entries, bytes);
-  if (drop == 0) return 0;
-  std::size_t drop_boolean = entries == 0 ? 0 : drop * boolean_.size() / entries;
-  std::size_t freed = 0;
-  freed += EvictLowestScore(&boolean_, tick_, drop_boolean);
-  freed += EvictLowestScore(&theta_, tick_, drop - drop_boolean);
-  evictions_.fetch_add(freed, std::memory_order_relaxed);
-  return freed;
-}
-
-std::size_t CompiledScopeMemo::Evict(double pressure) {
-  MutexLock lock(&mu_);
-  std::size_t freed = 0;
-  freed += EvictLowestScore(&boolean_, tick_,
-                            EvictionCount(boolean_.size(), pressure));
-  freed += EvictLowestScore(&theta_, tick_,
-                            EvictionCount(theta_.size(), pressure));
-  evictions_.fetch_add(freed, std::memory_order_relaxed);
-  return freed;
-}
-
-void CompiledScopeMemo::Clear() {
-  MutexLock lock(&mu_);
-  boolean_.Clear();
-  theta_.Clear();
-  tick_ = 0;
-}
-
-std::size_t CompiledScopeMemo::size() const {
-  MutexLock lock(&mu_);
-  return boolean_.size() + theta_.size();
-}
-
-std::size_t CompiledScopeMemo::retained_bytes() const {
-  MutexLock lock(&mu_);
-  return RetainedBytes(boolean_) + RetainedBytes(theta_);
+  auto [compiled, hit] = theta_.GetOrBuild(FpKey(ThetaKey(space, theta)), [&] {
+    return Built{std::make_shared<const CompiledTheta>(space, theta),
+                 24 * theta.size() + 64};
+  });
+  (hit ? hits_ : misses_).fetch_add(1, std::memory_order_relaxed);
+  return compiled;
 }
 
 }  // namespace gqc

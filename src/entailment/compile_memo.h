@@ -12,8 +12,6 @@
 #include "src/dl/types.h"
 #include "src/entailment/common.h"
 #include "src/graph/type.h"
-#include "src/util/fingerprint.h"
-#include "src/util/flat_map.h"
 #include "src/util/sync.h"
 
 namespace gqc {
@@ -32,14 +30,19 @@ namespace gqc {
 /// fingerprint-then-verify) holds here too. Compiled artifacts are pure
 /// functions of their keys, so memoization can never change a verdict.
 ///
-/// Thread-safe: probes are mutex-protected (kLockRankCompileMemo — above
-/// every other cache rank, so a probe is legal no matter which cache lock a
-/// caller's caller holds), values are computed outside the lock, first
+/// Thread-safe: both tables are BoundedTables at kLockRankCompileMemo —
+/// above every other cache rank, so a probe is legal no matter which cache
+/// lock a caller's caller holds; values are computed outside the lock, first
 /// insert wins. Hit/miss counters are internal atomics because the probing
 /// call sites (EngineLimits consumers) carry no PipelineStats; the owner
 /// exports them.
 class CompiledScopeMemo {
  public:
+  /// Evictions are counted on `stats` when non-null.
+  explicit CompiledScopeMemo(PipelineStats* stats = nullptr)
+      : boolean_(kLockRankCompileMemo, "compile-memo-cis", stats),
+        theta_(kLockRankCompileMemo, "compile-memo-theta", stats) {}
+
   /// The compiled Boolean CIs of `tbox` over `space`, memoized.
   std::shared_ptr<const CompiledBooleanCis> GetBooleanCis(
       const TypeSpace& space, const NormalTBox& tbox);
@@ -48,34 +51,33 @@ class CompiledScopeMemo {
   std::shared_ptr<const CompiledTheta> GetTheta(const TypeSpace& space,
                                                 const std::vector<Type>& theta);
 
-  /// Lifecycle: bound the memo (0 = unbounded); over-budget inserts evict
-  /// lowest retain-score entries (recency × recompute-cost).
-  void SetBudget(const CacheBudget& budget);
-  /// Drops ceil(size * pressure) lowest-scoring entries; returns the count.
-  std::size_t Evict(double pressure);
-  void Clear();
-
-  std::size_t size() const;
-  std::size_t retained_bytes() const;
-  uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
-  uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }
-  uint64_t evictions() const {
-    return evictions_.load(std::memory_order_relaxed);
+  /// Lifecycle: bounds each of the two tables (0 = unbounded); over-budget
+  /// inserts evict lowest retain-score entries (recency × recompute-cost).
+  void SetBudget(const CacheBudget& budget) {
+    boolean_.SetBudget(budget);
+    theta_.SetBudget(budget);
+  }
+  /// Drops ceil(size * pressure) lowest-scoring entries per table; returns
+  /// the count.
+  std::size_t Evict(double pressure) {
+    return boolean_.Evict(pressure).entries + theta_.Evict(pressure).entries;
+  }
+  void Clear() {
+    boolean_.Clear();
+    theta_.Clear();
   }
 
- private:
-  std::size_t EnforceBudgetLocked() GQC_REQUIRES(mu_);
+  std::size_t retained_bytes() const {
+    return boolean_.retained_bytes() + theta_.retained_bytes();
+  }
+  uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
+  uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }
 
-  mutable Mutex mu_{kLockRankCompileMemo, "compile-memo"};
-  CacheBudget budget_ GQC_GUARDED_BY(mu_);
-  uint64_t tick_ GQC_GUARDED_BY(mu_) = 0;
-  FlatMap<FpKey, Retained<std::shared_ptr<const CompiledBooleanCis>>, FpKeyHash>
-      boolean_ GQC_GUARDED_BY(mu_);
-  FlatMap<FpKey, Retained<std::shared_ptr<const CompiledTheta>>, FpKeyHash>
-      theta_ GQC_GUARDED_BY(mu_);
+ private:
+  BoundedTable<std::shared_ptr<const CompiledBooleanCis>> boolean_;
+  BoundedTable<std::shared_ptr<const CompiledTheta>> theta_;
   std::atomic<uint64_t> hits_{0};
   std::atomic<uint64_t> misses_{0};
-  std::atomic<uint64_t> evictions_{0};
 };
 
 }  // namespace gqc

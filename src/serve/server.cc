@@ -21,6 +21,11 @@ namespace serve {
 
 namespace {
 
+/// Longest request line a connection may have pending without a newline.
+/// Far above any real request; a client past it is answered with an error
+/// and disconnected, so no client can grow the server without bound.
+constexpr std::size_t kMaxRequestLineBytes = std::size_t{1} << 20;
+
 std::string ErrorJson(std::string_view message) {
   JsonWriter w;
   w.BeginObject();
@@ -290,6 +295,15 @@ void Server::HandleConnection(int fd, std::string peer) {
         sent += static_cast<std::size_t>(wrote);
       }
       if (sent < response.size()) break;  // client went away mid-response
+    }
+    if (buf.size() > kMaxRequestLineBytes) {
+      session->errors.fetch_add(1, std::memory_order_relaxed);
+      std::string response =
+          ErrorJson("request line exceeds " +
+                    std::to_string(kMaxRequestLineBytes) + " bytes") +
+          "\n";
+      (void)::send(fd, response.data(), response.size(), MSG_NOSIGNAL);
+      break;
     }
   }
   ::close(fd);

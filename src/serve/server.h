@@ -26,7 +26,8 @@ struct ServeOptions {
   /// Default wall-clock budget per decide request (ms). A request's own
   /// "deadline_ms" field overrides; 0 falls back to engine.batch_timeout_ms.
   double request_deadline_ms = 0;
-  /// Budget applied to every engine cache table (0/0 = unbounded).
+  /// Budget applied to each engine cache table separately, not to their
+  /// sum (0/0 = unbounded).
   CacheBudget cache_budget;
   /// Warm-start snapshot: loaded (if present and valid) at construction,
   /// saved on graceful drain. Empty = persistence off.

@@ -1,5 +1,6 @@
 #include "src/util/arena.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace gqc {
@@ -8,8 +9,14 @@ std::string_view StringArena::Intern(std::string_view s) {
   if (s.empty()) return std::string_view{};
   if (blocks_.empty() ||
       blocks_.back().used + s.size() > blocks_.back().capacity) {
+    // Blocks double from kFirstBlockSize up to kBlockSize: every query
+    // context copies a vocabulary of a few dozen names, and a whole first
+    // 64 KiB block per interner would dwarf everything else it holds.
+    std::size_t next = blocks_.empty()
+                           ? kFirstBlockSize
+                           : std::min(2 * blocks_.back().capacity, kBlockSize);
     Block block;
-    block.capacity = s.size() > kBlockSize ? s.size() : kBlockSize;
+    block.capacity = std::max(s.size(), next);
     block.data = std::make_unique<char[]>(block.capacity);
     blocks_.push_back(std::move(block));
   }

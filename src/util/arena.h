@@ -13,9 +13,10 @@ namespace gqc {
 /// Canonical cache keys and interned vocabulary names are written once and
 /// read many times; storing each in its own std::string pays one heap
 /// allocation per string and scatters them across the heap. The arena packs
-/// them into large blocks: one allocation per ~64 KiB of key text, and the
-/// returned views stay valid until Clear() (blocks are never reallocated or
-/// shrunk).
+/// them into blocks that double from 512 bytes to 64 KiB: one allocation per
+/// ~64 KiB of text once an arena is large, little slack while it is small,
+/// and the returned views stay valid until Clear() (blocks are never
+/// reallocated or shrunk).
 class StringArena {
  public:
   StringArena() = default;
@@ -32,6 +33,7 @@ class StringArena {
   std::size_t bytes() const { return bytes_; }
 
  private:
+  static constexpr std::size_t kFirstBlockSize = 512;
   static constexpr std::size_t kBlockSize = 64 * 1024;
 
   struct Block {

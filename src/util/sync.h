@@ -81,7 +81,7 @@ namespace gqc {
 inline constexpr uint32_t kLockRankServeAdmission = 40;  // serve::AdmissionGate
 inline constexpr uint32_t kLockRankServeSessions = 60;   // serve::SessionRegistry
 inline constexpr uint32_t kLockRankEngineCancel = 100;   // EngineCore::cancel_mu_
-inline constexpr uint32_t kLockRankEngineContext = 200;  // EngineCore::ctx_mu_
+inline constexpr uint32_t kLockRankEngineContext = 200;  // EngineCore contexts
 inline constexpr uint32_t kLockRankPoolWake = 300;       // ThreadPool::wake_mu_
 inline constexpr uint32_t kLockRankPoolQueue = 400;      // per-worker deques
 inline constexpr uint32_t kLockRankNormalizeCache = 500; // ContainmentCaches

@@ -196,7 +196,7 @@ TEST(EngineTest, ErrorItemsAreReportedNotFatal) {
 }
 
 TEST(EngineTest, BatchItemJsonRoundTrip) {
-  auto item = Engine::ParseBatchItemJson(
+  auto item = ParseBatchItemJson(
       R"js({"id": "i-1", "schema": "A <= exists r.B\ntop <= forall r.B",)js"
       R"js( "p": "A(x), r(x, y)", "q": "r(x, \"y\")"})js");
   ASSERT_TRUE(item.ok()) << item.error();
@@ -205,10 +205,10 @@ TEST(EngineTest, BatchItemJsonRoundTrip) {
   EXPECT_EQ(item.value().p_text, "A(x), r(x, y)");
   EXPECT_EQ(item.value().q_text, "r(x, \"y\")");
 
-  EXPECT_FALSE(Engine::ParseBatchItemJson(R"js({"id": "x"})js").ok());
+  EXPECT_FALSE(ParseBatchItemJson(R"js({"id": "x"})js").ok());
   EXPECT_FALSE(
-      Engine::ParseBatchItemJson(R"js({"p": "A(x)", "q": "B(x)", "zz": 1})js").ok());
-  EXPECT_FALSE(Engine::ParseBatchItemJson("not json").ok());
+      ParseBatchItemJson(R"js({"p": "A(x)", "q": "B(x)", "zz": 1})js").ok());
+  EXPECT_FALSE(ParseBatchItemJson("not json").ok());
 }
 
 TEST(EngineTest, OutcomeJsonIsParseableAndComplete) {
@@ -221,7 +221,7 @@ TEST(EngineTest, OutcomeJsonIsParseableAndComplete) {
   outcome.countermodel_nodes = 3;
   outcome.wall_ms = 1.5;
 
-  std::string json = Engine::OutcomeToJson(outcome);
+  std::string json = OutcomeToJson(outcome);
   auto fields = ParseFlatJsonObject(json);
   ASSERT_TRUE(fields.ok()) << fields.error() << "\n" << json;
   std::string id, verdict, note, nodes;
@@ -247,10 +247,10 @@ TEST(EngineTest, OutcomeJsonCarriesWinningStrategy) {
   outcome.verdict = Verdict::kContained;
   outcome.attr.method = ContainmentMethod::kReduction;
   outcome.attr.strategy = "reduction";
-  EXPECT_NE(Engine::OutcomeToJson(outcome).find("\"strategy\":\"reduction\""),
+  EXPECT_NE(OutcomeToJson(outcome).find("\"strategy\":\"reduction\""),
             std::string::npos);
   outcome.attr.strategy.clear();
-  EXPECT_EQ(Engine::OutcomeToJson(outcome).find("\"strategy\""),
+  EXPECT_EQ(OutcomeToJson(outcome).find("\"strategy\""),
             std::string::npos);
 
   // End to end: a portfolio batch attributes every definite outcome.
@@ -269,7 +269,7 @@ TEST(EngineTest, OutcomeJsonCarriesWinningStrategy) {
     if (!o.ok || o.verdict == Verdict::kUnknown) continue;
     any_definite = true;
     EXPECT_FALSE(o.attr.strategy.empty()) << o.id;
-    EXPECT_NE(Engine::OutcomeToJson(o).find("\"strategy\""), std::string::npos)
+    EXPECT_NE(OutcomeToJson(o).find("\"strategy\""), std::string::npos)
         << o.id;
   }
   EXPECT_TRUE(any_definite);

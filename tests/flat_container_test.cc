@@ -3,10 +3,11 @@
 // containers under randomized insert/erase/clear/iterate churn (the erase
 // path uses backward-shift deletion, which a forced-collision hasher pins
 // down explicitly), MaskIndex and DynamicBitset kernels are checked against
-// naive set algebra, and the flat-container-backed shared caches are
-// hammered from 8 threads (FlatContainerTest is in the tools/sanitize.sh
-// TSan filter — the containers themselves are not thread-safe; the point is
-// that the existing cache mutexes still cover every probe).
+// naive set algebra, and the flat-container-backed shared caches — and the
+// BoundedTable they are all built on — are hammered from 8 threads
+// (FlatContainerTest is in the tools/sanitize.sh TSan filter — the
+// containers themselves are not thread-safe; the point is that the table
+// mutexes still cover every probe, insert and eviction).
 
 #include <gtest/gtest.h>
 
@@ -24,6 +25,7 @@
 #include "src/automata/regex_parser.h"
 #include "src/core/caches.h"
 #include "src/core/factboard.h"
+#include "src/core/lifecycle.h"
 #include "src/dl/concept_parser.h"
 #include "src/dl/types.h"
 #include "src/query/parser.h"
@@ -406,6 +408,46 @@ TEST(FlatContainerTest, ContainmentCachesStress) {
     });
   }
   for (std::thread& t : threads) t.join();
+}
+
+TEST(FlatContainerTest, BoundedTableHammerWithTinyBudget) {
+  // Every operation of the one table from 8 threads at once, with a budget
+  // so small that nearly every insert evicts, while two threads also evict
+  // and clear. Values must never tear and the byte total must stay exact.
+  PipelineStats stats;
+  BoundedTable<std::shared_ptr<const std::string>> table(kLockRankLeaf,
+                                                         "hammer", &stats);
+  table.SetBudget(CacheBudget{/*max_entries=*/3, /*max_bytes=*/0});
+  constexpr int kThreads = 8;
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < 300; ++i) {
+        std::string name = "key-" + std::to_string((t * 7 + i) % 11);
+        auto got = table.GetOrBuild(FpKey(name), [&] {
+          return Built{std::make_shared<const std::string>("value-of-" + name),
+                       std::size_t{16}};
+        });
+        ASSERT_NE(got.value, nullptr);
+        EXPECT_EQ(*got.value, "value-of-" + name);
+        if (auto found = table.Find(FpKey(name))) {
+          EXPECT_EQ(**found, "value-of-" + name);
+        }
+        (void)table.retained_bytes();
+        if (t == 0 && i % 16 == 0) table.Evict(0.5);
+        if (t == 1 && i % 64 == 63) table.Clear();
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  std::size_t recount = 0;
+  table.ForEach([&](const FpKey& key, const auto&) {
+    recount += key.text().size() + 16;
+  });
+  EXPECT_EQ(table.retained_bytes(), recount);
+  EXPECT_LE(table.size(), 3u);
+  EXPECT_GT(stats.cache_evictions.load(std::memory_order_relaxed), 0u);
 }
 
 }  // namespace

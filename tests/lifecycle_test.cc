@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <memory>
+#include <random>
 #include <string>
 #include <vector>
 
+#include "src/automata/compile_cache.h"
+#include "src/automata/regex_parser.h"
 #include "src/core/lifecycle.h"
 #include "src/engine/engine.h"
 #include "src/engine/snapshot.h"
@@ -57,32 +62,146 @@ TEST(LifecycleTest, OverBudgetDropCountTargetsSlack) {
 }
 
 TEST(LifecycleTest, EvictLowestScoreDropsColdCheapFirstDeterministically) {
-  FlatMap<FpKey, Retained<int>, FpKeyHash> map;
-  auto put = [&](const std::string& key, uint64_t touch, uint64_t cost,
-                 std::size_t bytes, int value) {
-    auto slot = map.TryEmplace(FpKey(key), Retained<int>{});
-    slot.first->value = value;
-    slot.first->meta = RetainMeta{touch, cost, bytes};
+  PipelineStats stats;
+  BoundedTable<int> table(kLockRankLeaf, "test-table", &stats);
+  auto put = [&](const std::string& key, uint64_t cost, int value) {
+    EXPECT_TRUE(table.Update(FpKey(key), cost, [&](int& v) -> std::size_t {
+      v = value;
+      return 100;
+    }));
   };
-  put("cold-cheap", 1, 10, 100, 1);
-  put("cold-expensive", 1, 100000, 100, 2);
-  put("hot-cheap", 99, 10, 100, 3);
-  put("hot-expensive", 99, 100000, 100, 4);
+  put("cold-cheap", 10, 1);
+  put("cold-expensive", 100000, 2);
+  put("hot-cheap", 10, 3);
+  put("hot-expensive", 100000, 4);
+  // Probes age the cold entries by ~100 ticks and keep the hot ones fresh.
+  for (int i = 0; i < 50; ++i) {
+    EXPECT_EQ(table.Find(FpKey("hot-cheap")), 3);
+    EXPECT_EQ(table.Find(FpKey("hot-expensive")), 4);
+  }
 
-  std::size_t freed = 0;
-  EXPECT_EQ(EvictLowestScore(&map, /*now_tick=*/100, /*drop=*/2, &freed), 2u);
-  EXPECT_EQ(freed, 200u);
-  EXPECT_EQ(map.size(), 2u);
+  // Each entry holds 100 bytes plus its key text.
+  Evicted freed = table.Evict(/*pressure=*/0.5);
+  EXPECT_EQ(freed.entries, 2u);
+  EXPECT_EQ(freed.bytes, 200 + std::string("cold-cheap").size() +
+                             std::string("hot-cheap").size());
+  EXPECT_EQ(stats.cache_evictions.load(std::memory_order_relaxed), 2u);
+  EXPECT_EQ(stats.cache_evicted_bytes.load(std::memory_order_relaxed),
+            freed.bytes);
+  EXPECT_EQ(table.size(), 2u);
   // The cold-cheap and hot-cheap entries score lowest; the expensive ones
   // must survive.
-  EXPECT_NE(map.Find(FpKey("cold-expensive")), nullptr);
-  EXPECT_NE(map.Find(FpKey("hot-expensive")), nullptr);
-  EXPECT_EQ(map.Find(FpKey("cold-cheap")), nullptr);
+  EXPECT_EQ(table.Find(FpKey("cold-expensive")), 2);
+  EXPECT_EQ(table.Find(FpKey("hot-expensive")), 4);
+  EXPECT_EQ(table.Find(FpKey("cold-cheap")), std::nullopt);
 
-  // Dropping more than the size is clamped; empty map is a no-op.
-  EXPECT_EQ(EvictLowestScore(&map, 100, 10), 2u);
-  EXPECT_EQ(map.size(), 0u);
-  EXPECT_EQ(EvictLowestScore(&map, 100, 1), 0u);
+  // Full pressure empties the table; an empty table is a no-op.
+  EXPECT_EQ(table.Evict(1.0).entries, 2u);
+  EXPECT_EQ(table.size(), 0u);
+  EXPECT_EQ(table.retained_bytes(), 0u);
+  EXPECT_EQ(table.Evict(1.0).entries, 0u);
+}
+
+/// Sums key text + value size over the table: the tests below build every
+/// value with bytes == value.size(), so this recount must equal the table's
+/// running total.
+std::size_t RecountBytes(const BoundedTable<std::string>& table) {
+  std::size_t total = 0;
+  table.ForEach([&](const FpKey& key, const std::string& value) {
+    total += key.text().size() + value.size();
+  });
+  return total;
+}
+
+TEST(LifecycleTest, RetainedBytesStaysExactUnderRandomOperations) {
+  BoundedTable<std::string> table(kLockRankLeaf, "test-table");
+  std::mt19937 rng(20240517);
+  auto key_of = [&] { return FpKey("k" + std::to_string(rng() % 24)); };
+  for (int step = 0; step < 4000; ++step) {
+    switch (rng() % 8) {
+      case 0:
+      case 1:
+      case 2: {  // insert (or hit)
+        std::string value(1 + rng() % 40, 'v');
+        auto got = table.GetOrBuild(key_of(), [&] {
+          return Built{value, value.size()};
+        });
+        if (!got.hit) {
+          EXPECT_EQ(got.value, value);
+        }
+        break;
+      }
+      case 3: {  // declined insert: handed back, never cached
+        FpKey key = key_of();
+        bool present = table.Find(key).has_value();
+        auto got = table.GetOrBuild(key, [] {
+          return Built{std::string("declined"), 8, /*cache=*/false};
+        });
+        EXPECT_EQ(got.hit, present);
+        if (!present) {
+          EXPECT_FALSE(table.Find(key).has_value());
+        }
+        break;
+      }
+      case 4: {  // in-place update, sometimes a no-op
+        std::size_t grow = rng() % 3;
+        table.Update(key_of(), 1, [&](std::string& value) {
+          value.append(grow, 'u');
+          return grow;
+        });
+        break;
+      }
+      case 5:
+        table.SetBudget(CacheBudget{rng() % 12, (rng() % 2) * (rng() % 400)});
+        break;
+      case 6:
+        table.Evict(static_cast<double>(rng() % 5) / 4.0);
+        break;
+      default:
+        if (rng() % 16 == 0) table.Clear();
+        break;
+    }
+    ASSERT_EQ(table.retained_bytes(), RecountBytes(table)) << "step " << step;
+  }
+}
+
+TEST(LifecycleTest, GetOrBuildReturnsItsValueEvenWhenEvictedAtOnce) {
+  // With room for one entry, every insert after the first evicts down to
+  // one entry, often the one just built. The caller must still get its own
+  // value, never a dangling slot (the ASan job runs this).
+  PipelineStats stats;
+  BoundedTable<std::shared_ptr<const std::string>> table(kLockRankLeaf,
+                                                         "test-table", &stats);
+  table.SetBudget(CacheBudget{/*max_entries=*/1, /*max_bytes=*/0});
+  for (int i = 0; i < 64; ++i) {
+    std::string text = "value-" + std::to_string(i);
+    auto got = table.GetOrBuild(FpKey("key-" + std::to_string(i)), [&] {
+      return Built{std::make_shared<const std::string>(text), text.size()};
+    });
+    EXPECT_FALSE(got.hit);
+    ASSERT_NE(got.value, nullptr);
+    EXPECT_EQ(*got.value, text);
+    EXPECT_EQ(table.size(), 1u);
+  }
+  EXPECT_EQ(stats.cache_evictions.load(std::memory_order_relaxed), 63u);
+}
+
+TEST(LifecycleTest, RegexCacheCountsInsertEvictions) {
+  // Insert-time evictions reach the stats as they happen, with no refresh.
+  PipelineStats stats;
+  RegexCompileCache cache(&stats);
+  cache.SetBudget(CacheBudget{/*max_entries=*/1, /*max_bytes=*/0});
+  Vocabulary vocab;
+  for (const char* text : {"r", "s*", "r.s"}) {
+    auto regex = ParseRegex(text, &vocab);
+    ASSERT_TRUE(regex.ok()) << regex.error();
+    Semiautomaton target;
+    (void)cache.CompileInto(regex.value(), &target, &stats);
+  }
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(stats.regex_misses.load(std::memory_order_relaxed), 3u);
+  EXPECT_EQ(stats.cache_evictions.load(std::memory_order_relaxed), 2u);
+  EXPECT_GT(stats.cache_evicted_bytes.load(std::memory_order_relaxed), 0u);
 }
 
 // --------------------------------------------------- eviction soundness (e2e)
@@ -152,8 +271,9 @@ TEST(LifecycleTest, ByteBudgetBoundsRetainedBytes) {
   engine.core().SetCacheBudget(CacheBudget{0, kBudget});
   (void)engine.DecideBatch(items);
   // Each table is individually bounded by kBudget; the eviction slack (7/8)
-  // keeps steady state strictly under the bound per table.
-  // 6 tables share the budget separately: ctx maps count as one table here.
+  // keeps steady state under the bound per table. The engine has seven
+  // tables: schema and query contexts, the regex cache, the fact board's
+  // countermodels and verdict memos, and the compile memo's two.
   EXPECT_LT(engine.core().retained_bytes(), 8 * kBudget);
 
   std::size_t before = engine.core().retained_bytes();
@@ -243,6 +363,36 @@ TEST(SnapshotTest, WarmStartRoundTripThroughDisk) {
   std::vector<BatchOutcome> cold = third.DecideBatch(items);
   ExpectSameOutcomes(expected, cold);
 
+  std::remove(path.c_str());
+}
+
+TEST(SnapshotTest, FailedSaveKeepsThePreviousSnapshot) {
+  std::vector<BatchItem> items = WorkloadBatch(6, 31);
+  EngineOptions opts;
+  opts.threads = 1;
+  Engine first(opts);
+  (void)first.DecideBatch(items);
+  std::string path = testing::TempDir() + "/gqc_lifecycle_atomic.bin";
+  auto saved = SaveSnapshot(first.core(), path);
+  ASSERT_TRUE(saved.ok()) << saved.error();
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+
+  // A directory squatting on the temp path makes the next save fail before
+  // it writes anything; the previous snapshot must survive intact.
+  std::filesystem::create_directory(path + ".tmp");
+  Engine other(opts);
+  (void)other.DecideBatch(WorkloadBatch(3, 37));
+  EXPECT_FALSE(SaveSnapshot(other.core(), path).ok());
+
+  Engine reloaded(opts);
+  auto loaded = LoadSnapshot(&reloaded.core(), path);
+  ASSERT_TRUE(loaded.ok()) << loaded.error();
+  EngineCore::SnapshotKeys keys = first.core().ExportSnapshotKeys();
+  EXPECT_EQ(loaded.value(), keys.schemas.size() + keys.queries.size());
+  EXPECT_EQ(reloaded.core().ExportSnapshotKeys().schemas, keys.schemas);
+  EXPECT_EQ(reloaded.core().ExportSnapshotKeys().queries, keys.queries);
+
+  std::filesystem::remove(path + ".tmp");
   std::remove(path.c_str());
 }
 

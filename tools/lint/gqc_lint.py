@@ -31,7 +31,7 @@ Rules (see DESIGN.md for the catalogue, rationale, and suppression syntax):
                   cheaper) ordering contract.
   hot-path-container  node-based ordered containers (std::set/std::map and
                   their multi variants) are banned in the entailment fixpoint
-                  files and the containment caches — the hot paths use dense
+                  files and every cache owner — the hot paths use dense
                   type-index bitsets, MaskIndex, and the open-addressing
                   FlatMap/FlatSet (DESIGN.md §11). Genuinely cold code
                   escapes with `// lint: cold(<why>)`.
@@ -122,7 +122,12 @@ ATOMIC_CALL_RE = re.compile(
 # after set/map keeps std::set_intersection and friends out of scope.
 HOT_PATH_FILE_PATTERNS = [
     r"src/entailment/[^/]+\.(?:h|cc)$",
+    # Every cache owner, and the one table they are all built on.
+    r"src/core/lifecycle\.h$",
     r"src/core/caches\.(?:h|cc)$",
+    r"src/core/factboard\.(?:h|cc)$",
+    r"src/automata/compile_cache\.(?:h|cc)$",
+    r"src/engine/engine_core\.(?:h|cc)$",
     # The serving layer sits on every request's path: its session registry
     # and admission bookkeeping must stay on the flat containers too.
     r"src/serve/[^/]+\.(?:h|cc)$",

@@ -9,12 +9,12 @@
 # token, with the mutex-guarded fact board exchanging countermodels between
 # racers). This script builds the tsan preset and runs every EngineTest.* /
 # ThreadPoolTest.* / BudgetTest.* / PortfolioTest.* / StrategyTest.* /
-# FactBoardTest.* / SyncTest.* / FlatContainerTest.* case under it (SyncTest
-# is the dedicated
-# multi-threaded stress file: sync-primitive contracts, fact-board/cache
-# hammering from 8 threads, CancelAll storms), so data races in the pool,
-# the caches, the guards, the race bookkeeping, the board, or the atomic
-# stats counters surface as hard failures.
+# FactBoardTest.* / SyncTest.* / FlatContainerTest.* / AdmissionGateTest.*
+# case under it (SyncTest is the dedicated multi-threaded stress file:
+# sync-primitive contracts, fact-board/cache hammering from 8 threads,
+# CancelAll storms), so data races in the pool, the caches, the guards, the
+# race bookkeeping, the board, the serve admission gate, or the atomic stats
+# counters surface as hard failures.
 #
 # Usage:
 #   tools/sanitize.sh            # TSan over the engine tests (the default)
@@ -32,7 +32,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 preset=tsan
-filter='^(EngineTest|ThreadPoolTest|BudgetTest|PortfolioTest|StrategyTest|FactBoardTest|SyncTest|FlatContainerTest)\.'
+filter='^(EngineTest|ThreadPoolTest|BudgetTest|PortfolioTest|StrategyTest|FactBoardTest|SyncTest|FlatContainerTest|AdmissionGateTest)\.'
 for arg in "$@"; do
   case "$arg" in
     --all) filter='.*' ;;

@@ -10,6 +10,8 @@ Asserts:
   * over-deadline requests come back kUnknown (deadline), never a flipped
     definite verdict;
   * malformed lines get {"ok":false,...} without killing the connection;
+  * a line longer than the server's cap gets {"ok":false,...} and a closed
+    connection, and fresh connections are still served;
   * stats/ping/evict respond; and
   * SIGTERM drains gracefully: every in-flight request is answered and the
     process exits 0.
@@ -24,6 +26,10 @@ import sys
 import time
 
 SCHEMA = "A <= exists r.B\ntop <= forall r.B"
+
+# kMaxRequestLineBytes in src/serve/server.cc: the longest request line a
+# connection may have pending without a newline.
+MAX_LINE_BYTES = 1 << 20
 
 # Small UCRPQ pairs over the schema above; mix of contained / not / self.
 PAIRS = [
@@ -128,6 +134,27 @@ def main():
         pong = client.request({"op": "ping"})
         if not pong.get("pong"):
             fail("connection dead after malformed line")
+
+        # An over-long line: exactly one byte past the cap and no newline,
+        # so the server has read all of it when it answers and hangs up.
+        hog = socket.create_connection(("127.0.0.1", port), timeout=30)
+        hog.sendall(b"x" * (MAX_LINE_BYTES + 1))
+        reply = b""
+        while True:
+            chunk = hog.recv(65536)
+            if not chunk:
+                break
+            reply += chunk
+        hog.close()
+        lines = reply.split(b"\n")
+        if len(lines) != 2 or lines[1] != b"":
+            fail("over-long line: want one reply line then EOF, got %r" % reply)
+        if json.loads(lines[0]).get("ok") is not False:
+            fail("over-long line accepted: %r" % reply)
+        fresh = Client(port)
+        if not fresh.request({"op": "ping"}).get("pong"):
+            fail("fresh connection not served after an over-long line")
+        fresh.close()
 
         ev = client.request({"op": "evict", "pressure": "1.0"})
         if not ev.get("ok"):
