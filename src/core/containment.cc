@@ -187,6 +187,8 @@ ContainmentResult ContainmentChecker::DecideDisjunct(const Crpq& p, const Ucrpq&
   ctx.caches = caches_.get();
   ctx.options = &options_;
   ctx.stats = stats;
+  DecisionExpansions expansions(p, options_.countermodel.expansion);
+  ctx.expansions = &expansions;
   // A caller-supplied closure is the engine's signal that this vocabulary is
   // shared read-only across concurrent disjunct decisions (see DecideDisjunct
   // contract); without one the checker owns the vocabulary exclusively.

@@ -53,8 +53,14 @@ ContainmentResult ComposeUnknown(
 
 }  // namespace
 
-ContainmentResult RunPortfolio(const StrategyContext& ctx,
+ContainmentResult RunPortfolio(const StrategyContext& caller_ctx,
                                const PortfolioOptions& opts) {
+  // The racers share one expansion set for this disjunct; it lives as long
+  // as this decision and is built by whichever racer asks first.
+  DecisionExpansions expansions(*caller_ctx.p,
+                                caller_ctx.options->countermodel.expansion);
+  StrategyContext ctx = caller_ctx;
+  ctx.expansions = &expansions;
   PipelineStats* stats = ctx.stats;
   if (stats) stats->disjuncts_total.fetch_add(1, std::memory_order_relaxed);
 

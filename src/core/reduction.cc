@@ -102,7 +102,8 @@ Result<TpClosure> ComputeTpClosure(const Ucrpq& q, const NormalTBox& tbox,
 ReductionResult ContainmentViaEntailment(const Crpq& p, const Ucrpq& /*q*/,
                                          const NormalTBox& tbox,
                                          const TpClosure& closure,
-                                         const ReductionOptions& options) {
+                                         const ReductionOptions& options,
+                                         const ExpansionSet* expansions) {
   // Q itself is not consulted here: `closure` already carries its
   // factorization (Q̂) and Tp masks, computed by ComputeTpClosure(q, ...).
   PhaseTimer timer(options.stats ? &options.stats->reduction_ns : nullptr);
@@ -130,8 +131,10 @@ ReductionResult ContainmentViaEntailment(const Crpq& p, const Ucrpq& /*q*/,
 
   // Search for the central part H0: ⊨ p, ⊨ T (participation deferred at
   // stubs with Tp types), ⊭ Q̂, seeded from expansions of p and quotients.
-  ExpansionSet expansions = CanonicalExpansions(p, options.countermodel.expansion);
-  bool exhaustive = expansions.exhaustive;
+  ExpansionSet own;
+  ExpansionPrefix seeds_from =
+      GuardedExpansions(p, options.countermodel.expansion, expansions, &own);
+  bool exhaustive = seeds_from.exhaustive;
   bool capped = closure.engine_capped;
 
   Ucrpq p_union;
@@ -141,7 +144,7 @@ ReductionResult ContainmentViaEntailment(const Crpq& p, const Ucrpq& /*q*/,
   EngineLimits limits = options.countermodel.limits;
   limits.guard_phase = GuardPhase::kReduction;
 
-  for (const Expansion& exp : expansions.expansions) {
+  for (const Expansion& exp : seeds_from) {
     if (GuardExhausted(limits)) {
       capped = true;
       break;

@@ -67,11 +67,12 @@ Result<TpClosure> ComputeTpClosure(const Ucrpq& q, const NormalTBox& tbox,
 /// UC2RPQ q and a normalized TBox in a supported fragment (ALCQ, or ALCI
 /// with one-way q), reusing a precomputed `closure` for (tbox, q). Does not
 /// mutate any vocabulary — safe to call concurrently for different p against
-/// one shared closure.
+/// one shared closure. `expansions` as in FindCountermodel.
 ReductionResult ContainmentViaEntailment(const Crpq& p, const Ucrpq& q,
                                          const NormalTBox& tbox,
                                          const TpClosure& closure,
-                                         const ReductionOptions& options);
+                                         const ReductionOptions& options,
+                                         const ExpansionSet* expansions = nullptr);
 
 /// Convenience form computing the closure inline (the pre-batching entry
 /// point). `alcq_case` selects the stub discipline (no outgoing edges) and

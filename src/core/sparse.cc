@@ -68,10 +68,13 @@ std::vector<Graph> SatisfyingQuotients(const Graph& g, const Crpq& p,
 
 CountermodelSearchResult FindCountermodel(const Crpq& p, const Ucrpq& q,
                                           const NormalTBox& tbox,
-                                          const CountermodelOptions& options) {
+                                          const CountermodelOptions& options,
+                                          const ExpansionSet* expansions) {
   CountermodelSearchResult result;
-  ExpansionSet expansions = CanonicalExpansions(p, options.expansion);
-  bool exhaustive = expansions.exhaustive;
+  ExpansionSet own;
+  ExpansionPrefix seeds_from =
+      GuardedExpansions(p, options.expansion, expansions, &own);
+  bool exhaustive = seeds_from.exhaustive;
 
   Ucrpq p_union;
   p_union.AddDisjunct(p);
@@ -85,7 +88,7 @@ CountermodelSearchResult FindCountermodel(const Crpq& p, const Ucrpq& q,
   TypeSpace space{std::move(ids)};
 
   bool capped = false;
-  for (const Expansion& exp : expansions.expansions) {
+  for (const Expansion& exp : seeds_from) {
     if (GuardExhausted(options.limits)) {
       capped = true;
       break;

@@ -35,9 +35,14 @@ struct CountermodelSearchResult {
 /// exactly label-completions of quotients of canonical expansions (every
 /// model restricted to a match image stays a model), so with exhaustive
 /// expansions kNo answers are exact — the Thm 3.2 path.
+///
+/// `expansions`, if given, is p's expansion set built without a guard under
+/// options.expansion's bounds; the search then replays its guard charges
+/// instead of enumerating (GuardedExpansions).
 CountermodelSearchResult FindCountermodel(const Crpq& p, const Ucrpq& q,
                                           const NormalTBox& tbox,
-                                          const CountermodelOptions& options);
+                                          const CountermodelOptions& options,
+                                          const ExpansionSet* expansions = nullptr);
 
 /// Enumerates node-merging quotients of `g` that still satisfy `p` with the
 /// merged variable assignment; includes `g` itself. Bounded by `max_out`.

@@ -10,6 +10,30 @@
 
 namespace gqc {
 
+DecisionExpansions::DecisionExpansions(const Crpq& p,
+                                       const ExpansionOptions& bounds)
+    : p_(p),
+      max_word_length_(bounds.max_word_length),
+      max_expansions_(bounds.max_expansions) {}
+
+const ExpansionSet* DecisionExpansions::For(const ExpansionOptions& options) {
+  if (options.max_word_length != max_word_length_ ||
+      options.max_expansions != max_expansions_) {
+    return nullptr;
+  }
+  if (!ready_.load(std::memory_order_acquire)) {
+    MutexLock lock(&mu_);
+    if (!ready_.load(std::memory_order_relaxed)) {
+      ExpansionOptions unguarded;
+      unguarded.max_word_length = max_word_length_;
+      unguarded.max_expansions = max_expansions_;
+      set_ = CanonicalExpansions(p_, unguarded);
+      ready_.store(true, std::memory_order_release);
+    }
+  }
+  return &set_;
+}
+
 UnknownInfo UnknownFromGuard(const ResourceGuard* guard) {
   UnknownInfo info;
   if (guard != nullptr && guard->exhausted()) {
@@ -50,6 +74,12 @@ ContainmentResult Inconclusive(std::string note = "") {
   r.verdict = Verdict::kUnknown;
   r.attr.note = std::move(note);
   return r;
+}
+
+/// The decision's shared expansion set if it has `options`' bounds, else null.
+const ExpansionSet* SharedExpansions(const StrategyContext& ctx,
+                                     const ExpansionOptions& options) {
+  return ctx.expansions != nullptr ? ctx.expansions->For(options) : nullptr;
 }
 
 /// The guarded search options every search-based strategy starts from: the
@@ -120,9 +150,15 @@ ContainmentResult ScreenStrategy::Run(const StrategyContext& ctx,
   }
   // (b) Classical containment (no schema) implies containment modulo any
   //     schema; the canonical-database test certifies the CQ-shaped cases.
-  Ucrpq p_union;
-  p_union.AddDisjunct(*ctx.p);
-  QueryContainmentResult classical = QueryContainment(p_union, *ctx.q);
+  //     It runs unguarded under the default expansion bounds.
+  const ExpansionOptions classical_bounds;
+  ExpansionSet own;
+  const ExpansionSet* expansions = SharedExpansions(ctx, classical_bounds);
+  if (expansions == nullptr) {
+    own = CanonicalExpansions(*ctx.p, classical_bounds);
+    expansions = &own;
+  }
+  QueryContainmentResult classical = ClassicalContainment(*expansions, *ctx.q);
   if (classical.verdict == Verdict::kContained) {
     result.verdict = Verdict::kContained;
     result.attr.method = ContainmentMethod::kClassical;
@@ -154,7 +190,8 @@ ContainmentResult DirectStrategy::Run(const StrategyContext& ctx,
   CountermodelSearchResult direct;
   {
     PhaseTimer timer(ctx.stats ? &ctx.stats->direct_ns : nullptr);
-    direct = FindCountermodel(*ctx.p, *ctx.q, *ctx.schema, guarded);
+    direct = FindCountermodel(*ctx.p, *ctx.q, *ctx.schema, guarded,
+                              SharedExpansions(ctx, guarded.expansion));
     if (direct.answer == EngineAnswer::kYes) {
       return RefutedByWitness(ctx, std::move(direct.witness));
     }
@@ -256,16 +293,18 @@ ContainmentResult ReductionStrategy::Run(const StrategyContext& ctx,
   opts.factorize.guard = guard;
   opts.stats = ctx.stats;
   bool alcq_case = !ctx.schema->UsesInverse();
+  const ExpansionSet* expansions =
+      SharedExpansions(ctx, opts.countermodel.expansion);
   ReductionResult red;
   if (ctx.closure != nullptr) {
     red = ContainmentViaEntailment(*ctx.p, *ctx.q, *ctx.schema, *ctx.closure,
-                                   opts);
+                                   opts, expansions);
   } else if (ctx.options->enable_caching && ctx.caches != nullptr) {
     ContainmentCaches::ClosureEntry entry =
         ctx.caches->GetClosure(*ctx.q, *ctx.schema, alcq_case, ctx.vocab, opts);
     if (entry.closure != nullptr) {
       red = ContainmentViaEntailment(*ctx.p, *ctx.q, *ctx.schema,
-                                     *entry.closure, opts);
+                                     *entry.closure, opts, expansions);
     } else {
       red.note = entry.error;
     }

@@ -1,20 +1,50 @@
 #ifndef GQC_CORE_STRATEGY_H_
 #define GQC_CORE_STRATEGY_H_
 
+#include <atomic>
 #include <string_view>
 #include <vector>
 
 #include "src/core/containment.h"
 #include "src/core/strategy_id.h"
 #include "src/util/result.h"
+#include "src/util/sync.h"
 
 namespace gqc {
+
+/// The canonical expansions of the disjunct under decision, enumerated at
+/// most once per decision: without a guard, under the configured bounds
+/// (ContainmentOptions::countermodel.expansion), on first use. `screen`,
+/// `direct` and `reduction` read this one set when their bounds match it;
+/// guarded readers replay its guard charges (GuardedExpansions), so they
+/// spend and trip exactly as if they had enumerated it themselves. The
+/// decision owns it; racing strategies share it.
+class DecisionExpansions {
+ public:
+  DecisionExpansions(const Crpq& p, const ExpansionOptions& bounds);
+
+  DecisionExpansions(const DecisionExpansions&) = delete;
+  DecisionExpansions& operator=(const DecisionExpansions&) = delete;
+
+  /// The set if `options` has its bounds (word length and cap), else null.
+  /// The first caller builds it; concurrent callers wait for that build.
+  const ExpansionSet* For(const ExpansionOptions& options);
+
+ private:
+  const Crpq& p_;
+  const std::size_t max_word_length_;
+  const std::size_t max_expansions_;
+  Mutex mu_{kLockRankDecisionExpansions, "decision-expansions"};
+  std::atomic<bool> ready_{false};
+  /// Written once under mu_ before ready_ is released; read-only after.
+  ExpansionSet set_;
+};
 
 /// Everything one strategy run may read. All pointers are non-owning; `p`,
 /// `q`, `schema`, `options` are required, the rest are optional. The context
 /// is shared read-only by every strategy racing one disjunct, so a Run
 /// implementation must not mutate anything reachable from it except through
-/// the explicitly thread-safe sinks (`stats`, `caches`).
+/// the explicitly thread-safe members (`stats`, `caches`, `expansions`).
 struct StrategyContext {
   const Crpq* p = nullptr;            // the disjunct under decision
   const Ucrpq* q = nullptr;           // the right-hand query
@@ -28,6 +58,9 @@ struct StrategyContext {
   ContainmentCaches* caches = nullptr;
   const ContainmentOptions* options = nullptr;
   PipelineStats* stats = nullptr;  // may be null
+  /// The disjunct's shared expansion set, or null (each strategy then
+  /// enumerates its own). Thread-safe.
+  DecisionExpansions* expansions = nullptr;
   /// True when `vocab` is shared read-only across concurrent decisions (the
   /// engine's disjunct parallelism and every portfolio race). Strategies
   /// must not intern symbols then; the closure-less reduction is

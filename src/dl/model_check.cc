@@ -39,16 +39,18 @@ DynamicBitset ConceptExtension(const Graph& g, const ConceptPtr& c) {
       DynamicBitset inner = ConceptExtension(g, c->children[0]);
       for (std::size_t v = 0; v < n; ++v) {
         std::size_t count = 0;
-        for (NodeId w : g.Successors(static_cast<NodeId>(v), c->role)) {
+        std::size_t total = 0;
+        g.ForEachSuccessor(static_cast<NodeId>(v), c->role, [&](NodeId w) {
+          ++total;
           if (inner.Test(w)) ++count;
-        }
+        });
         bool holds = false;
         switch (c->kind) {
           case ConceptKind::kExists:
             holds = count >= 1;
             break;
           case ConceptKind::kForall:
-            holds = count == g.Successors(static_cast<NodeId>(v), c->role).size();
+            holds = count == total;
             break;
           case ConceptKind::kAtLeast:
             holds = count >= c->n;
@@ -78,9 +80,9 @@ bool Satisfies(const Graph& g, const TBox& tbox) {
 
 std::size_t CountSuccessors(const Graph& g, NodeId v, Role r, Literal l) {
   std::size_t count = 0;
-  for (NodeId w : g.Successors(v, r)) {
+  g.ForEachSuccessor(v, r, [&](NodeId w) {
     if (g.SatisfiesLiteral(w, l)) ++count;
-  }
+  });
   return count;
 }
 
@@ -96,10 +98,11 @@ bool NodeSatisfiesCi(const Graph& g, NodeId v, const NormalCi& ci) {
       return false;
     }
     case NormalCi::Kind::kForall: {
-      for (NodeId w : g.Successors(v, ci.role)) {
-        if (!g.SatisfiesLiteral(w, ci.rhs_lit)) return false;
-      }
-      return true;
+      bool all = true;
+      g.ForEachSuccessor(v, ci.role, [&](NodeId w) {
+        all = all && g.SatisfiesLiteral(w, ci.rhs_lit);
+      });
+      return all;
     }
     case NormalCi::Kind::kAtLeast:
       return CountSuccessors(g, v, ci.role, ci.rhs_lit) >= ci.n;

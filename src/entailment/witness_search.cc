@@ -7,6 +7,7 @@
 #include "src/entailment/compile_memo.h"
 #include "src/query/eval.h"
 #include "src/util/flat_map.h"
+#include "src/util/invariant.h"
 
 namespace gqc {
 
@@ -65,9 +66,9 @@ class WitnessSearch {
 
     // Initial states: either completions of the seed or a single tau-node.
     if (p_.seed != nullptr) {
-      Graph g;
+      PrepareSeed();
       std::vector<uint64_t> node_masks;
-      if (SeedStates(&g, &node_masks, 0)) {
+      if (SeedStates(&node_masks, 0)) {
         return {EngineAnswer::kYes, std::move(found_)};
       }
     } else {
@@ -91,35 +92,62 @@ class WitnessSearch {
     return false;
   }
 
-  /// Recursively completes the seed's node labels to full masks, then runs
-  /// the main search on each completion.
-  bool SeedStates(Graph* g, std::vector<uint64_t>* node_masks, NodeId v) {
+  /// Once per search: the support bits each seed node's labels need (none
+  /// when a label lies outside the support, so no mask covers it), and the
+  /// completion graph — the seed's nodes and edges, relabelled in place for
+  /// every completion.
+  void PrepareSeed() {
     const Graph& seed = *p_.seed;
-    if (v == seed.NodeCount()) {
-      Graph completed;
-      // lint: bounded(linear in the seed nodes)
-      for (NodeId u = 0; u < seed.NodeCount(); ++u) {
-        AddMaskNode(&completed, space_, (*node_masks)[u]);
-      }
-      seed.ForEachEdge([&](const Edge& e) {
-        completed.AddEdge(e.from, e.role, e.to);
-      });
-      std::vector<uint64_t> masks_copy = *node_masks;
-      return Search(completed, masks_copy);
-    }
-    for (uint64_t mask : masks_) {
-      bool covers = true;
+    // lint: bounded(linear in the seed nodes)
+    for (NodeId v = 0; v < seed.NodeCount(); ++v) {
+      uint64_t need = 0;
+      bool coverable = true;
       // lint: bounded(labels of a single node)
       for (uint32_t id : seed.Labels(v).ToIds()) {
         std::size_t pos = space_.PositionOf(id);
-        if (pos == TypeSpace::npos || !((mask >> pos) & 1)) {
-          covers = false;
+        if (pos == TypeSpace::npos) {
+          coverable = false;
           break;
         }
+        need |= uint64_t{1} << pos;
       }
-      if (!covers) continue;
+      seed_need_.push_back(coverable ? std::optional<uint64_t>(need) : std::nullopt);
+      completion_.AddNode();
+    }
+    seed.ForEachEdge([&](const Edge& e) { completion_.AddEdge(e.from, e.role, e.to); });
+  }
+
+  /// Recursively completes the seed's node labels to full masks, then runs
+  /// the main search on each completion.
+  bool SeedStates(std::vector<uint64_t>* node_masks, NodeId v) {
+    const Graph& seed = *p_.seed;
+    if (v == seed.NodeCount()) {
+      // lint: bounded(linear in the seed nodes)
+      for (NodeId u = 0; u < seed.NodeCount(); ++u) {
+        LabelSet& labels = completion_.MutableLabels(u);
+        // lint: bounded(linear in the support arity)
+        for (std::size_t i = 0; i < space_.arity(); ++i) {
+          if (((*node_masks)[u] >> i) & 1) {
+            labels.Add(space_.support()[i]);
+          } else {
+            labels.Remove(space_.support()[i]);
+          }
+        }
+      }
+      // Search leaves the graph and the masks as it found them unless it
+      // succeeds.
+      bool found = Search(completion_, *node_masks);
+      GQC_DCHECK(found || (completion_.NodeCount() == seed.NodeCount() &&
+                           completion_.EdgeCount() == seed.EdgeCount() &&
+                           node_masks->size() == seed.NodeCount()));
+      return found;
+    }
+    if (!seed_need_[v].has_value()) return false;
+    const uint64_t need = *seed_need_[v];
+    for (uint64_t mask : masks_) {
+      if ((mask & need) != need) continue;
       node_masks->push_back(mask);
-      if (SeedStates(g, node_masks, v + 1)) return true;
+      if (SeedStates(node_masks, v + 1)) return true;
       node_masks->pop_back();
       if (OutOfBudget()) return false;
     }
@@ -210,15 +238,15 @@ class WitnessSearch {
     }
     if (p_.forbid != nullptr && Matches(g, *p_.forbid)) return false;
 
-    // Memoize visited states (approximate canonical form).
+    // Memoize visited states (approximate canonical form): the node masks,
+    // then the packed edges in (from, role, to) order.
     std::vector<uint64_t> key;
-    key.reserve(g.NodeCount() * 3);
-    // lint: bounded(linear in the graph nodes)
-    for (NodeId v = 0; v < g.NodeCount(); ++v) key.push_back(node_masks[v]);
-    // lint: bounded(linear in the graph edges)
-    for (const Edge& e : g.AllEdges()) {
+    key.reserve(g.NodeCount() + g.EdgeCount());
+    key.assign(node_masks.begin(), node_masks.end());
+    g.ForEachEdge([&](const Edge& e) {
       key.push_back((uint64_t{e.from} << 40) | (uint64_t{e.role} << 20) | e.to);
-    }
+    });
+    std::sort(key.begin() + static_cast<std::ptrdiff_t>(g.NodeCount()), key.end());
     const std::size_t key_words = key.size();
     if (!visited_.Insert(std::move(key))) return false;
     // The memo set is the one structure that grows without bound with the
@@ -304,19 +332,8 @@ class WitnessSearch {
 
   void RemoveLastNode(Graph* g, std::vector<uint64_t>* node_masks) {
     // Nodes are only removed right after creation, with no incident edges
-    // left (edges added during the repair were undone). Rebuild without the
-    // last node.
-    Graph rebuilt;
-    // lint: bounded(linear in the graph nodes)
-    for (NodeId v = 0; v + 1 < g->NodeCount(); ++v) {
-      rebuilt.AddNode(g->Labels(v));
-    }
-    g->ForEachEdge([&](const Edge& e) {
-      if (e.from + 1 < g->NodeCount() && e.to + 1 < g->NodeCount()) {
-        rebuilt.AddEdge(e.from, e.role, e.to);
-      }
-    });
-    *g = std::move(rebuilt);
+    // left (edges added during the repair were undone).
+    g->PopNode();
     node_masks->pop_back();
   }
 
@@ -332,6 +349,10 @@ class WitnessSearch {
   const TypeSpace& space_;
   std::vector<uint32_t> roles_;
   std::vector<uint64_t> masks_;
+  /// Per seed node: the support bits its labels need, or nullopt if no
+  /// mask can cover them.
+  std::vector<std::optional<uint64_t>> seed_need_;
+  Graph completion_;
   std::vector<GuardCi> guards_;
   FlatSet<uint64_t> deferred_masks_;
   /// Visited search states (approximate canonical forms). The flat set

@@ -52,10 +52,9 @@ std::vector<std::vector<Move>> BuildMoves(const ConcreteFrame& frame,
     for (NodeId v = 0; v < g.NodeCount(); ++v) {
       // lint: bounded(linear in the role alphabet)
       for (Role r : roles) {
-        // lint: bounded(linear in the successor list)
-        for (NodeId w : g.Successors(v, r)) {
+        g.ForEachSuccessor(v, r, [&](NodeId w) {
           moves[index({f, v})].push_back({{f, w}, 0});
-        }
+        });
       }
     }
   }

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "src/util/invariant.h"
+
 namespace gqc {
 
 NodeId Graph::AddNode(LabelSet labels) {
@@ -10,6 +12,13 @@ NodeId Graph::AddNode(LabelSet labels) {
   out_.emplace_back();
   in_.emplace_back();
   return id;
+}
+
+void Graph::PopNode() {
+  GQC_DCHECK(!labels_.empty() && out_.back().empty() && in_.back().empty());
+  labels_.pop_back();
+  out_.pop_back();
+  in_.pop_back();
 }
 
 bool Graph::HasType(NodeId v, const Type& t) const {
@@ -42,15 +51,6 @@ bool Graph::RemoveEdge(NodeId u, uint32_t role_id, NodeId v) {
   in_[v].erase(in_it);
   --edge_count_;
   return true;
-}
-
-std::vector<NodeId> Graph::Successors(NodeId u, Role r) const {
-  std::vector<NodeId> out;
-  const auto& adj = r.is_inverse() ? in_[u] : out_[u];
-  for (const auto& [role, w] : adj) {
-    if (role == r.name_id()) out.push_back(w);
-  }
-  return out;
 }
 
 void Graph::ForEachEdge(const std::function<void(const Edge&)>& fn) const {

@@ -34,6 +34,8 @@ class Graph {
   /// Adds an unlabelled node; returns its id (dense from 0).
   NodeId AddNode() { return AddNode(LabelSet{}); }
   NodeId AddNode(LabelSet labels);
+  /// Removes the last node, which must have no incident edges.
+  void PopNode();
 
   std::size_t NodeCount() const { return labels_.size(); }
   std::size_t EdgeCount() const { return edge_count_; }
@@ -69,10 +71,16 @@ class Graph {
   /// Removes edge u --role--> v if present; returns true if removed.
   bool RemoveEdge(NodeId u, uint32_t role_id, NodeId v);
 
-  /// Successors of `u` along `r`: forward roles follow out-edges, inverse
-  /// roles follow in-edges. Pairs are (role-name id of the edge, neighbour);
-  /// only edges whose name matches r.name_id() are returned.
-  std::vector<NodeId> Successors(NodeId u, Role r) const;
+  /// Calls `fn(w)` for every successor w of `u` along `r`, walking the
+  /// adjacency list in place: forward roles follow out-edges, inverse roles
+  /// follow in-edges, and only edges named r.name_id() count.
+  template <typename Fn>
+  void ForEachSuccessor(NodeId u, Role r, Fn&& fn) const {
+    const auto& adj = r.is_inverse() ? in_[u] : out_[u];
+    for (const auto& [role, w] : adj) {
+      if (role == r.name_id()) fn(w);
+    }
+  }
 
   /// All out-edges of `u` as (role id, target).
   const std::vector<std::pair<uint32_t, NodeId>>& OutEdges(NodeId u) const {

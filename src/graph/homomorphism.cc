@@ -86,10 +86,11 @@ class HomSearch {
     // For each assigned node w adjacent to u, u is an r-successor (or
     // r-inverse-successor) of w; no sibling successor may share the image.
     auto check_siblings = [&](NodeId w, Role r) {
-      for (NodeId sibling : g_.Successors(w, r)) {
-        if (sibling != u && mapping_[sibling] == image) return false;
-      }
-      return true;
+      bool injective = true;
+      g_.ForEachSuccessor(w, r, [&](NodeId sibling) {
+        if (sibling != u && mapping_[sibling] == image) injective = false;
+      });
+      return injective;
     };
     for (const auto& [r, w] : g_.InEdges(u)) {
       // u is a forward-r successor of w.

@@ -4,6 +4,7 @@
 #include <numeric>
 
 #include "src/query/eval.h"
+#include "src/util/invariant.h"
 
 namespace gqc {
 
@@ -101,6 +102,19 @@ ExpansionSet CanonicalExpansions(const Crpq& q, const ExpansionOptions& options)
       return result;
     }
   }
+  // Only complement literals can make a candidate fail to satisfy q.
+  auto negative = [](Literal l) { return l.is_negative(); };
+  bool post_check = std::any_of(
+      q.UnaryAtoms().begin(), q.UnaryAtoms().end(),
+      [&](const UnaryAtom& a) { return negative(a.literal); });
+  for (const auto& words : atom_words) {
+    for (const auto& word : words) {
+      post_check = post_check ||
+                   std::any_of(word.begin(), word.end(), [&](Symbol sym) {
+                     return sym.is_test() && negative(sym.literal());
+                   });
+    }
+  }
 
   // Cartesian product with a global cap.
   std::vector<std::size_t> choice(atom_words.size(), 0);
@@ -116,6 +130,7 @@ ExpansionSet CanonicalExpansions(const Crpq& q, const ExpansionOptions& options)
       break;
     }
     // Build the expansion for the current choice vector.
+    const std::size_t candidate = result.candidates++;
     UnionFind uf(q.VarCount());
     for (std::size_t i = 0; i < atom_words.size(); ++i) {
       // A word without role letters keeps the path at one node: y = z.
@@ -125,6 +140,7 @@ ExpansionSet CanonicalExpansions(const Crpq& q, const ExpansionOptions& options)
       if (!has_role) uf.Union(q.BinaryAtoms()[i].y, q.BinaryAtoms()[i].z);
     }
     Expansion exp;
+    exp.candidate = candidate;
     std::vector<NodeId> class_node(q.VarCount(), kNoNode);
     exp.var_nodes.assign(q.VarCount(), kNoNode);
     for (uint32_t v = 0; v < q.VarCount(); ++v) {
@@ -162,7 +178,15 @@ ExpansionSet CanonicalExpansions(const Crpq& q, const ExpansionOptions& options)
     // Post-check: complement tests can make an expansion fail to satisfy q
     // (e.g. a [!A] test on a node another atom labels A); keep only genuine
     // canonical databases.
-    if (Matches(exp.graph, q)) result.expansions.push_back(std::move(exp));
+    if (post_check) {
+      if (Matches(exp.graph, q)) result.expansions.push_back(std::move(exp));
+    } else {
+      GQC_AUDIT(Matches(exp.graph, q)
+                    ? AuditResult{}
+                    : AuditViolation("a canonical expansion of a query without "
+                                     "complement literals fails the query"));
+      result.expansions.push_back(std::move(exp));
+    }
 
     // Advance the choice vector.
     std::size_t i = 0;
@@ -174,6 +198,30 @@ ExpansionSet CanonicalExpansions(const Crpq& q, const ExpansionOptions& options)
     if (choice.empty()) break;
   }
   return result;
+}
+
+ExpansionPrefix GuardedExpansions(const Crpq& p, const ExpansionOptions& options,
+                                  const ExpansionSet* shared, ExpansionSet* own) {
+  if (shared == nullptr) {
+    *own = CanonicalExpansions(p, options);
+    return {own, own->expansions.size(), own->exhaustive};
+  }
+  ExpansionPrefix prefix{shared, shared->expansions.size(), shared->exhaustive};
+  if (options.guard == nullptr) return prefix;
+  for (std::size_t k = 0; k < shared->candidates; ++k) {
+    if (options.guard->Charge(options.guard_phase)) {
+      const auto& built = shared->expansions;
+      prefix.count = static_cast<std::size_t>(
+          std::lower_bound(built.begin(), built.end(), k,
+                           [](const Expansion& e, std::size_t c) {
+                             return e.candidate < c;
+                           }) -
+          built.begin());
+      prefix.exhaustive = false;
+      break;
+    }
+  }
+  return prefix;
 }
 
 }  // namespace gqc

@@ -19,6 +19,9 @@ struct Expansion {
   Graph graph;
   /// query variable -> node realizing it.
   std::vector<NodeId> var_nodes;
+  /// Position of this expansion among the candidates the enumeration built;
+  /// candidates that failed the post-check leave gaps.
+  std::size_t candidate = 0;
 };
 
 struct ExpansionOptions {
@@ -37,10 +40,39 @@ struct ExpansionSet {
   /// True if every word of every atom's language was covered (no star was
   /// truncated and the cap was not hit), making the set exhaustive.
   bool exhaustive = false;
+  /// Candidates built, kept or not: one guard step each.
+  std::size_t candidates = 0;
 };
 
-/// Enumerates canonical expansions of `q` up to the option bounds.
+/// Enumerates canonical expansions of `q` up to the option bounds. Charges
+/// the guard one step per candidate built, after checking the
+/// `max_expansions` cap; a trip ends the set there, with exhaustive = false.
+/// Candidates are post-checked against `q` only when `q` has a negative
+/// unary literal or a negated test (without one they satisfy `q` by
+/// construction).
 ExpansionSet CanonicalExpansions(const Crpq& q, const ExpansionOptions& options);
+
+/// The expansions a guarded consumer sees: the first `count` of `set`.
+struct ExpansionPrefix {
+  const ExpansionSet* set = nullptr;
+  std::size_t count = 0;
+  bool exhaustive = false;
+
+  const Expansion* begin() const { return set->expansions.data(); }
+  const Expansion* end() const { return set->expansions.data() + count; }
+};
+
+/// P's expansions exactly as CanonicalExpansions(p, options) returns them
+/// under options.guard. With `shared` (CanonicalExpansions(p, ·) built
+/// without a guard under the same bounds) nothing is enumerated: its guard
+/// charges are replayed instead, one per candidate in order. The
+/// `max_expansions` check that precedes each charge passes for every
+/// candidate of `shared` by construction, so a trip at candidate k keeps the
+/// expansions built before k, with exhaustive = false; without a trip the
+/// whole set is seen, with its own `exhaustive`. Without `shared` the
+/// enumeration runs guarded into `*own`.
+ExpansionPrefix GuardedExpansions(const Crpq& p, const ExpansionOptions& options,
+                                  const ExpansionSet* shared, ExpansionSet* own);
 
 /// Enumerates the words of length <= max_len in the language of the atom
 /// (a, s, t), as symbol sequences; sets *complete to false if longer words

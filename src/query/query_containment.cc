@@ -18,22 +18,31 @@ const char* VerdictName(Verdict v) {
 
 QueryContainmentResult QueryContainment(
     const Ucrpq& p, const Ucrpq& q, const QueryContainmentOptions& options) {
-  QueryContainmentResult result;
   bool exhaustive = true;
   for (const Crpq& disjunct : p.Disjuncts()) {
-    ExpansionSet set = CanonicalExpansions(disjunct, options.expansion);
-    exhaustive = exhaustive && set.exhaustive;
-    for (const Expansion& exp : set.expansions) {
-      if (!Matches(exp.graph, q)) {
-        // Exact counterexample: the expansion satisfies P (by construction)
-        // but not Q, and containment is over all finite graphs.
-        result.verdict = Verdict::kNotContained;
-        result.counterexample = exp.graph;
-        return result;
-      }
+    QueryContainmentResult one = ClassicalContainment(
+        CanonicalExpansions(disjunct, options.expansion), q);
+    if (one.verdict == Verdict::kNotContained) return one;
+    exhaustive = exhaustive && one.verdict == Verdict::kContained;
+  }
+  QueryContainmentResult result;
+  result.verdict = exhaustive ? Verdict::kContained : Verdict::kUnknown;
+  return result;
+}
+
+QueryContainmentResult ClassicalContainment(const ExpansionSet& expansions,
+                                            const Ucrpq& q) {
+  QueryContainmentResult result;
+  for (const Expansion& exp : expansions.expansions) {
+    if (!Matches(exp.graph, q)) {
+      // Exact counterexample: the expansion satisfies P (by construction)
+      // but not Q, and containment is over all finite graphs.
+      result.verdict = Verdict::kNotContained;
+      result.counterexample = exp.graph;
+      return result;
     }
   }
-  result.verdict = exhaustive ? Verdict::kContained : Verdict::kUnknown;
+  result.verdict = expansions.exhaustive ? Verdict::kContained : Verdict::kUnknown;
   return result;
 }
 

@@ -39,6 +39,12 @@ struct QueryContainmentOptions {
 [[nodiscard]] QueryContainmentResult QueryContainment(
     const Ucrpq& p, const Ucrpq& q, const QueryContainmentOptions& options = {});
 
+/// The same test for one disjunct, on its expansion set: kNotContained with
+/// the first expansion that does not satisfy `q`; otherwise kContained if
+/// the set is exhaustive and kUnknown if not.
+[[nodiscard]] QueryContainmentResult ClassicalContainment(
+    const ExpansionSet& expansions, const Ucrpq& q);
+
 }  // namespace gqc
 
 #endif  // GQC_QUERY_QUERY_CONTAINMENT_H_

@@ -89,6 +89,7 @@ inline constexpr uint32_t kLockRankRegexCache = 510;     // RegexCompileCache
 inline constexpr uint32_t kLockRankFactBoard = 520;      // SharedFactBoard
 inline constexpr uint32_t kLockRankCompileMemo = 530;    // CompiledScopeMemo
 inline constexpr uint32_t kLockRankRaceWinner = 600;     // portfolio winner
+inline constexpr uint32_t kLockRankDecisionExpansions = 650;  // P's expansions
 /// Default for unranked mutexes: may be acquired while holding anything,
 /// but nothing (not even another leaf) may be acquired while holding one.
 inline constexpr uint32_t kLockRankLeaf = 1000;

@@ -14,6 +14,12 @@ class GraphTest : public ::testing::Test {
   Vocabulary vocab_;
 };
 
+std::vector<NodeId> SuccessorList(const Graph& g, NodeId u, Role r) {
+  std::vector<NodeId> out;
+  g.ForEachSuccessor(u, r, [&](NodeId w) { out.push_back(w); });
+  return out;
+}
+
 TEST_F(GraphTest, AddNodesAndEdges) {
   Graph g;
   NodeId a = g.AddNode();
@@ -44,9 +50,9 @@ TEST_F(GraphTest, InverseRoleSuccessors) {
   NodeId b = g.AddNode();
   uint32_t r = vocab_.RoleId("r");
   g.AddEdge(a, r, b);
-  EXPECT_EQ(g.Successors(a, Role::Forward(r)), std::vector<NodeId>{b});
-  EXPECT_EQ(g.Successors(b, Role::Inverse(r)), std::vector<NodeId>{a});
-  EXPECT_TRUE(g.Successors(b, Role::Forward(r)).empty());
+  EXPECT_EQ(SuccessorList(g, a, Role::Forward(r)), std::vector<NodeId>{b});
+  EXPECT_EQ(SuccessorList(g, b, Role::Inverse(r)), std::vector<NodeId>{a});
+  EXPECT_TRUE(SuccessorList(g, b, Role::Forward(r)).empty());
 }
 
 TEST_F(GraphTest, AddEdgeWithInverseRoleFlipsDirection) {
@@ -96,7 +102,26 @@ TEST_F(GraphTest, RemoveEdge) {
   EXPECT_TRUE(g.RemoveEdge(a, r, b));
   EXPECT_FALSE(g.RemoveEdge(a, r, b));
   EXPECT_EQ(g.EdgeCount(), 0u);
-  EXPECT_TRUE(g.Successors(b, Role::Inverse(r)).empty());
+  EXPECT_TRUE(SuccessorList(g, b, Role::Inverse(r)).empty());
+}
+
+TEST_F(GraphTest, PopNodeRemovesIsolatedLastNode) {
+  Graph g;
+  NodeId a = g.AddNode();
+  NodeId b = g.AddNode();
+  uint32_t r = vocab_.RoleId("r");
+  g.AddEdge(a, r, b);
+  NodeId c = g.AddNode();
+  g.AddLabel(c, vocab_.ConceptId("A"));
+  g.PopNode();
+  EXPECT_EQ(g.NodeCount(), 2u);
+  EXPECT_EQ(g.EdgeCount(), 1u);
+  EXPECT_EQ(SuccessorList(g, a, Role::Forward(r)), std::vector<NodeId>{b});
+  // A node added after the pop starts unlabelled and unconnected.
+  NodeId d = g.AddNode();
+  EXPECT_EQ(d, c);
+  EXPECT_TRUE(g.Labels(d).Empty());
+  EXPECT_EQ(g.Degree(d), 0u);
 }
 
 TEST_F(GraphTest, DisjointUnionOffsets) {

@@ -131,6 +131,14 @@ HOT_PATH_FILE_PATTERNS = [
     # The serving layer sits on every request's path: its session registry
     # and admission bookkeeping must stay on the flat containers too.
     r"src/serve/[^/]+\.(?:h|cc)$",
+    # What the countermodel search runs on every state: the query evaluator,
+    # its product search, the expansion enumeration, the model checker and
+    # the search driver.
+    r"src/query/eval\.cc$",
+    r"src/query/canonical\.cc$",
+    r"src/automata/product\.cc$",
+    r"src/dl/model_check\.cc$",
+    r"src/core/sparse\.cc$",
 ]
 HOT_PATH_CONTAINER_RE = re.compile(r"std\s*::\s*(?:multiset|multimap|set|map)\b")
 
