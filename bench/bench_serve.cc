@@ -1,18 +1,17 @@
-// Serve: steady-state request latency of the serving layer, cold vs warm
-// caches vs snapshot warm-start. Drives Server::HandleRequestLine in-process
-// (the socket loop is a thin transport; the decision path, admission gate,
-// and session bookkeeping are all exercised), so the numbers isolate the
-// serving stack from kernel socket noise.
+// Serve: request latency of the serving layer, cold caches vs snapshot
+// warm-start. Drives Server::HandleRequestLine in-process (the socket loop is
+// a thin transport; the decision path, admission gate, and session
+// bookkeeping are all exercised), so the numbers isolate the serving stack
+// from kernel socket noise.
 //
 //   ServeCold       fresh server per iteration — every request builds its
 //                   contexts from scratch (worst case, first-request latency)
-//   ServeWarm       one long-lived server — steady state after the caches
-//                   filled (the latency a persistent deployment sees)
 //   ServeWarmStart  fresh server per iteration, warm-started from a snapshot
 //                   of the workload's context keys (restart recovery cost)
 //
-// The cold/warm gap is what the cache lifecycle preserves under eviction
-// pressure; the warm-start column is what a restart buys back from disk.
+// The warm-start column is what a restart buys back from disk. Steady-state
+// latency on warm caches is measured end to end, over loopback, by
+// perfbench's serve-skewed workload.
 
 #include <benchmark/benchmark.h>
 
@@ -80,22 +79,6 @@ void BM_ServeCold(benchmark::State& state) {
                           static_cast<int64_t>(lines.size()));
 }
 BENCHMARK(BM_ServeCold)->Arg(20)->Unit(benchmark::kMillisecond);
-
-void BM_ServeWarm(benchmark::State& state) {
-  std::vector<std::string> lines =
-      RequestLines(static_cast<std::size_t>(state.range(0)), 7);
-  serve::Server server(BenchOptions());
-  DriveAll(&server, lines);  // fill the caches once, unmeasured
-  for (auto _ : state) {
-    DriveAll(&server, lines);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(lines.size()));
-  server.core().RefreshLifecycleGauges();
-  state.counters["retained_kb"] = static_cast<double>(
-      server.core().retained_bytes() / 1024);
-}
-BENCHMARK(BM_ServeWarm)->Arg(20)->Unit(benchmark::kMillisecond);
 
 void BM_ServeWarmStart(benchmark::State& state) {
   std::vector<std::string> lines =

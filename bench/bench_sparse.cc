@@ -17,7 +17,7 @@ using namespace gqc;
 
 void RunPair(benchmark::State& state, const std::string& schema_text,
              const std::string& p_text, const std::string& q_text) {
-  std::string verdict, method;
+  std::string verdict, strategy;
   for (auto _ : state) {
     Vocabulary vocab;
     auto schema = ParseTBox(schema_text, &vocab);
@@ -26,9 +26,9 @@ void RunPair(benchmark::State& state, const std::string& schema_text,
     ContainmentChecker checker(&vocab);
     auto r = checker.Decide(p.value(), q.value(), schema.value());
     verdict = VerdictName(r.verdict);
-    method = ContainmentMethodName(r.attr.method);
+    strategy = r.attr.strategy;
   }
-  state.SetLabel(verdict + " via " + method);
+  state.SetLabel(verdict + " via " + strategy);
 }
 
 void BM_E7_NoParticipationContained(benchmark::State& state) {

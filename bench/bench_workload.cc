@@ -1,16 +1,9 @@
 // E9: randomized workloads — decision coverage and verdict distribution of
 // the full pipeline over generated schema/query-pair instances, split by
-// query class (simple vs concatenation), plus batch-engine throughput:
-// pairs/sec across a thread sweep over one >= 200-item batch, with cache hit
-// rates and a bit-identical-verdicts check against the 1-thread baseline.
-// Each engine benchmark prints the engine's pipeline-stats JSON (per-phase
-// timings, cache hit rates) for its last run.
+// query class (simple vs concatenation). Batch-engine throughput is measured
+// end to end by perfbench's batch-portfolio workload.
 
 #include <benchmark/benchmark.h>
-
-#include <cstdio>
-#include <string>
-#include <vector>
 
 #include "src/gqc.h"
 
@@ -61,142 +54,5 @@ void BM_E9_ConcatWorkload(benchmark::State& state) {
   RunWorkloadBench(state, /*simple=*/false);
 }
 BENCHMARK(BM_E9_ConcatWorkload)->DenseRange(1, 2, 1)->Unit(benchmark::kMillisecond);
-
-// ------------------------------------------------------------- batch engine
-
-/// The shared benchmark batch: 125 generated instances, each twice (repeated
-/// (schema, Q) pairs are the realistic shape — query logs re-check rewrites
-/// against one schema — and exercise the context caches).
-const std::vector<BatchItem>& EngineBatch() {
-  static const std::vector<BatchItem>* items = [] {
-    WorkloadOptions options;
-    options.seed = 1000;
-    options.query_atoms = 2;
-    auto* out = new std::vector<BatchItem>;
-    std::vector<WorkloadInstance> instances = GenerateWorkload(options, 125);
-    for (int copy = 0; copy < 2; ++copy) {
-      for (std::size_t i = 0; i < instances.size(); ++i) {
-        BatchItem item;
-        item.id = std::to_string(copy) + ":" + std::to_string(i);
-        item.schema_text = instances[i].schema_text;
-        item.p_text = instances[i].p_text;
-        item.q_text = instances[i].q_text;
-        out->push_back(std::move(item));
-      }
-    }
-    return out;
-  }();
-  return *items;
-}
-
-/// 1-thread verdicts, the reference every other thread count must reproduce.
-const std::vector<BatchOutcome>& BaselineOutcomes() {
-  static const std::vector<BatchOutcome>* base = [] {
-    EngineOptions options;
-    options.threads = 1;
-    Engine engine(options);
-    return new std::vector<BatchOutcome>(engine.DecideBatch(EngineBatch()));
-  }();
-  return *base;
-}
-
-void BM_EngineBatch(benchmark::State& state) {
-  const std::vector<BatchItem>& items = EngineBatch();
-  const std::vector<BatchOutcome>& baseline = BaselineOutcomes();
-
-  EngineOptions options;
-  options.threads = static_cast<std::size_t>(state.range(0));
-  std::string stats_json;
-  for (auto _ : state) {
-    Engine engine(options);  // cold caches every iteration: honest scaling
-    std::vector<BatchOutcome> out = engine.DecideBatch(items);
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      if (out[i].verdict != baseline[i].verdict || out[i].ok != baseline[i].ok ||
-          out[i].attr.method != baseline[i].attr.method || out[i].attr.note != baseline[i].attr.note) {
-        state.SkipWithError("verdicts diverge from the 1-thread baseline");
-        return;
-      }
-    }
-    stats_json = engine.StatsJson();
-    const PipelineStats& s = engine.stats();
-    auto rate = [](uint64_t hits, uint64_t misses) {
-      return hits + misses == 0 ? 0.0 : static_cast<double>(hits) / (hits + misses);
-    };
-    state.counters["query_ctx_hit_rate"] = rate(s.query_ctx_hits, s.query_ctx_misses);
-    state.counters["regex_hit_rate"] = rate(s.regex_hits, s.regex_misses);
-    state.counters["closure_hit_rate"] = rate(s.closure_hits, s.closure_misses);
-  }
-  state.counters["pairs_per_sec"] = benchmark::Counter(
-      static_cast<double>(items.size()) * state.iterations(),
-      benchmark::Counter::kIsRate);
-  std::fprintf(stderr, "BM_EngineBatch/threads:%ld stats %s\n",
-               static_cast<long>(state.range(0)), stats_json.c_str());
-}
-BENCHMARK(BM_EngineBatch)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Unit(benchmark::kMillisecond)
-    ->MeasureProcessCPUTime()
-    ->UseRealTime();
-
-// The same batch through the racing strategy portfolio. Definite verdicts
-// must agree with the sequential 1-thread baseline wherever that baseline is
-// definite (the portfolio may additionally resolve baseline unknowns via the
-// deep witness racer — counted in `extra_definite`). Counters expose the
-// per-strategy win split and fact-board traffic.
-void BM_EngineBatchPortfolio(benchmark::State& state) {
-  const std::vector<BatchItem>& items = EngineBatch();
-  const std::vector<BatchOutcome>& baseline = BaselineOutcomes();
-
-  EngineOptions options;
-  options.threads = static_cast<std::size_t>(state.range(0));
-  options.portfolio = true;
-  std::size_t extra_definite = 0;
-  std::string stats_json;
-  for (auto _ : state) {
-    Engine engine(options);  // cold caches every iteration: honest scaling
-    std::vector<BatchOutcome> out = engine.DecideBatch(items);
-    extra_definite = 0;
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      if (out[i].ok != baseline[i].ok) {
-        state.SkipWithError("item availability diverges from the baseline");
-        return;
-      }
-      if (!out[i].ok) continue;
-      if (baseline[i].verdict != Verdict::kUnknown) {
-        if (out[i].verdict != baseline[i].verdict) {
-          state.SkipWithError("definite verdicts diverge from the baseline");
-          return;
-        }
-      } else if (out[i].verdict != Verdict::kUnknown) {
-        ++extra_definite;
-      }
-    }
-    stats_json = engine.StatsJson();
-    const PipelineStats& s = engine.stats();
-    for (std::size_t i = 0; i < kStrategyCount; ++i) {
-      state.counters[std::string("wins_") +
-                     StrategyName(static_cast<StrategyId>(i))] =
-          static_cast<double>(s.strategy_wins[i].load());
-    }
-    state.counters["facts_consumed"] = static_cast<double>(s.facts_consumed.load());
-  }
-  state.counters["extra_definite"] = static_cast<double>(extra_definite);
-  state.counters["pairs_per_sec"] = benchmark::Counter(
-      static_cast<double>(items.size()) * state.iterations(),
-      benchmark::Counter::kIsRate);
-  std::fprintf(stderr, "BM_EngineBatchPortfolio/threads:%ld stats %s\n",
-               static_cast<long>(state.range(0)), stats_json.c_str());
-}
-BENCHMARK(BM_EngineBatchPortfolio)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Unit(benchmark::kMillisecond)
-    ->MeasureProcessCPUTime()
-    ->UseRealTime();
 
 }  // namespace

@@ -34,7 +34,7 @@ int main() {
   auto q = ParseUcrpq("Enzyme(x), catalyses(x, y), Reaction(y)", &vocab);
   auto r1 = checker.Decide(p.value(), q.value(), schema);
   std::printf("Enzyme(x) ⊑_S Enzyme ∧ catalyses ∧ Reaction : %s (%s)\n",
-              VerdictName(r1.verdict), ContainmentMethodName(r1.attr.method));
+              VerdictName(r1.verdict), r1.attr.strategy.c_str());
 
   auto star_p = ParseUcrpq("Enzyme(x), ((binds + catalyses)*)(x, y), Cofactor(y)",
                            &vocab);

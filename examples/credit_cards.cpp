@@ -67,6 +67,6 @@ int main() {
   auto mq = ParseUcrpq("partner(x, y), RetailCompany(y)", &vocab);
   auto mini = checker.Decide(mp.value(), mq.value(), schema);
   std::printf("partner(x,y) ⊑_S partner(x,y) ∧ RetailCompany(y) : %s (%s)\n",
-              VerdictName(mini.verdict), ContainmentMethodName(mini.attr.method));
+              VerdictName(mini.verdict), mini.attr.strategy.c_str());
   return 0;
 }

@@ -119,8 +119,7 @@ int RunContain(const std::string& schema_path, const std::string& p_text,
   }
   ContainmentChecker checker(&vocab);
   ContainmentResult r = checker.Decide(p.value(), q.value(), schema.value());
-  std::printf("verdict: %s\nmethod: %s\n", VerdictName(r.verdict),
-              ContainmentMethodName(r.attr.method));
+  std::printf("verdict: %s\n", VerdictName(r.verdict));
   if (!r.attr.strategy.empty()) {
     std::printf("strategy: %s\n", r.attr.strategy.c_str());
   }

@@ -38,14 +38,14 @@ int main() {
 
   // Modulo the schema the extra atom is free: p ⊑_T q.
   ContainmentResult forward = checker.Decide(p.value(), q.value(), schema.value());
-  std::printf("p ⊑_T q : %s  (method: %s)\n", VerdictName(forward.verdict),
-              ContainmentMethodName(forward.attr.method));
+  std::printf("p ⊑_T q : %s  (strategy: %s)\n", VerdictName(forward.verdict),
+              forward.attr.strategy.c_str());
 
   // Without the schema it fails, with a concrete countermodel.
   TBox empty;
   ContainmentResult no_schema = checker.Decide(p.value(), q.value(), empty);
-  std::printf("p ⊑ q   : %s  (method: %s)\n", VerdictName(no_schema.verdict),
-              ContainmentMethodName(no_schema.attr.method));
+  std::printf("p ⊑ q   : %s  (strategy: %s)\n", VerdictName(no_schema.verdict),
+              no_schema.attr.strategy.c_str());
   if (no_schema.countermodel.has_value()) {
     std::printf("countermodel:\n%s",
                 ToDot(*no_schema.countermodel, vocab).c_str());

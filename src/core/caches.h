@@ -13,8 +13,8 @@
 
 namespace gqc {
 
-/// Memoized immutable reasoning state shared across containment calls (and,
-/// in the batch engine, across worker threads):
+/// A ContainmentChecker's memoized immutable reasoning state, shared across
+/// its containment calls (the batch engine keeps its own contexts instead):
 ///
 ///  - normalized-TBox cache: canonical TBox serialization -> NormalTBox.
 ///    Normalization interns fresh concept names, so every repeated Decide
@@ -41,8 +41,7 @@ namespace gqc {
 /// Lookup/insert is mutex-protected and safe from any thread. Values are
 /// computed OUTSIDE the lock; on a miss the builder may intern fresh names
 /// into the vocabulary, so concurrent misses sharing one Vocabulary must be
-/// externally serialized (the checker is single-threaded per vocabulary; the
-/// batch engine builds each context in a private vocabulary before sharing).
+/// externally serialized (the checker is single-threaded per vocabulary).
 class ContainmentCaches {
  public:
   /// Normalized form of `tbox`, computing (and interning into `vocab`) on

@@ -29,26 +29,18 @@ struct ContainmentOptions {
   bool disable_reduction = false;
   /// Shrink returned countermodels to 1-minimal witnesses (readability).
   bool minimize_countermodels = true;
-  /// Memoize normalized TBoxes and Tp closures across calls (per checker;
-  /// verdicts are identical with caching on or off — the caches store pure
-  /// functions of their keys). Off = the pre-cache re-normalizing behavior.
-  bool enable_caching = true;
   /// Optional observability sink: per-phase wall time, cache hit/miss
-  /// counters, verdict/method tallies, countermodel sizes. May be shared by
-  /// several checkers/threads (all counters are atomic).
+  /// counters, verdict and strategy tallies, countermodel sizes. May be
+  /// shared by several checkers/threads (all counters are atomic).
   PipelineStats* stats = nullptr;
-  /// Strategy order DecideDisjunct tries (src/core/strategy.h): first
-  /// definite verdict wins, kUnknown falls through to the next. Empty means
-  /// SequentialOrder() — screen, direct, reduction — which reproduces the
-  /// former hardwired pipeline bit for bit. Entries must outlive the checker
-  /// (the registered strategies are immortal singletons).
+  /// The strategies a disjunct decision runs (src/core/decide.h), in order:
+  /// sequentially the first definite verdict wins and kUnknown falls through
+  /// to the next; a race starts them all. Empty means SequentialOrder() —
+  /// screen, direct, reduction, the former hardwired pipeline — or, in a
+  /// race, AllStrategies(). Entries must outlive the checker (the registered
+  /// strategies are immortal singletons).
   std::vector<const Strategy*> strategies;
 };
-
-/// Records one decided pair into `stats` (verdict and method tallies);
-/// no-op on a null sink. Called by Decide; the batch engine, which folds
-/// disjunct results itself, calls it directly.
-void TallyPair(PipelineStats* stats, const ContainmentResult& result);
 
 /// Decides containment modulo schema, P ⊑_T Q over all finite graphs (§3).
 ///
@@ -70,16 +62,17 @@ void TallyPair(PipelineStats* stats, const ContainmentResult& result);
 /// Definite answers are exact; kNotContained verdicts carry a re-verified
 /// countermodel (or the central part when found via the reduction).
 ///
-/// A checker is bound to one Vocabulary and is not itself thread-safe; the
-/// batch engine (src/engine) runs one checker per worker over cloned
-/// vocabularies and shares the memoized state via precomputed closures.
+/// A checker is bound to one Vocabulary, memoizes normalized TBoxes and Tp
+/// closures in it, and is not itself thread-safe. It runs the disjunct loop
+/// and strategy runner of src/core/decide.h under the sequential policy, in
+/// order on the calling thread; the batch engine (src/engine) runs the same
+/// loop and runner over its own contexts, without a checker.
 class ContainmentChecker {
  public:
   ContainmentChecker(Vocabulary* vocab, ContainmentOptions options = {});
 
-  /// P, Q: UC2RPQs. `schema`: the TBox. Normalized on first use and (with
-  /// `enable_caching`) memoized, so repeated calls against one schema pay
-  /// normalization once.
+  /// P, Q: UC2RPQs. `schema`: the TBox. Normalized on first use and
+  /// memoized, so repeated calls against one schema pay normalization once.
   [[nodiscard]] ContainmentResult Decide(const Ucrpq& p, const Ucrpq& q,
                                          const TBox& schema);
 
@@ -95,35 +88,11 @@ class ContainmentChecker {
                                                     const Ucrpq& q,
                                                     const NormalTBox& schema);
 
-  /// Same against a raw TBox, normalizing (and, with `enable_caching`,
-  /// memoizing) exactly like the Decide TBox overload — the two entry
-  /// points stay symmetric.
+  /// Same against a raw TBox, normalizing and memoizing exactly like the
+  /// Decide TBox overload — the two entry points stay symmetric.
   [[nodiscard]] ContainmentResult DecideEquivalence(const Ucrpq& p,
                                                     const Ucrpq& q,
                                                     const TBox& schema);
-
-  /// Decides one connected disjunct p of P (advanced API — the unit of
-  /// parallelism for the batch engine). When `closure` is non-null it must be
-  /// the Tp closure of (schema, q) computed in a vocabulary this checker's
-  /// vocabulary extends; the call is then read-only on the vocabulary and may
-  /// run concurrently with other DecideDisjunct calls sharing it.
-  ///
-  /// `guard` (optional) governs this one decision: every potentially-
-  /// exponential phase polls it, and a trip unwinds to Verdict::kUnknown with
-  /// the trip details in `Attribution::unknown` — never to an abort or
-  /// a wrong definite verdict. Callers that want per-pair deadlines construct
-  /// one guard per disjunct against a shared absolute deadline (see Decide).
-  [[nodiscard]] ContainmentResult DecideDisjunct(const Crpq& p, const Ucrpq& q,
-                                   const NormalTBox& schema,
-                                   const TpClosure* closure = nullptr,
-                                   ResourceGuard* guard = nullptr);
-
-  /// Folds per-disjunct results (in disjunct order) into the pair verdict,
-  /// exactly as the sequential Decide loop does: the first kNotContained
-  /// wins; any kUnknown poisons kContained. Exposed so parallel drivers
-  /// reproduce sequential results bit-for-bit.
-  [[nodiscard]] static ContainmentResult Combine(
-      std::vector<ContainmentResult> per_disjunct);
 
   const ContainmentOptions& options() const { return options_; }
 

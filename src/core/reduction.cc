@@ -65,6 +65,14 @@ std::vector<uint64_t> ProjectRealizable(const TypeSpace& engine_space,
 
 }  // namespace
 
+bool ReductionCovers(const NormalTBox& tbox, const Ucrpq& q) {
+  if (!tbox.HasParticipationConstraints() || !q.IsSimple() ||
+      !q.IsConnected()) {
+    return false;
+  }
+  return !tbox.UsesInverse() || (!tbox.UsesCounting() && q.IsOneWay());
+}
+
 Result<TpClosure> ComputeTpClosure(const Ucrpq& q, const NormalTBox& tbox,
                                    bool alcq_case, Vocabulary* vocab,
                                    const ReductionOptions& options) {

@@ -56,6 +56,13 @@ struct TpClosure {
   bool alcq_case = true;
 };
 
+/// True iff the reduction covers (T, Q): T has participation constraints, Q
+/// is simple and connected, and either T has no inverses (the §6 ALCQ engine,
+/// used whenever it applies) or T has no counting and Q is one-way (the §5
+/// ALCI engine). The one fragment test behind both the reduction strategy
+/// and the engine's closure precomputation.
+bool ReductionCovers(const NormalTBox& tbox, const Ucrpq& q);
+
 /// Computes the closure for connected simple UC2RPQ `q` against normalized
 /// `tbox`. `alcq_case` selects the engine (§6 ALCQ vs §5 ALCI one-way).
 /// Errors when the factorization fails (query not simple/connected, caps).

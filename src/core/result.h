@@ -1,7 +1,6 @@
 #ifndef GQC_CORE_RESULT_H_
 #define GQC_CORE_RESULT_H_
 
-#include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -11,39 +10,26 @@
 
 namespace gqc {
 
-/// Which decision path produced a containment verdict.
-enum class ContainmentMethod {
-  kClassical,        // no schema: canonical-database test
-  kDirectSearch,     // bounded countermodel search against the full TBox
-  kSparse,           // Thm 3.2 path (no participation constraints)
-  kReduction,        // §3 reduction to finite entailment (star-like models)
-  kTrivial,          // e.g. P unsatisfiable under the schema
-};
-
-const char* ContainmentMethodName(ContainmentMethod m);
-
 /// Why a verdict is kUnknown: which resource ran out (or which structural
-/// cap was hit), in which pipeline phase, after how many charged steps.
-/// This is the payload of the three-valued outcome — definite verdicts never
-/// carry one.
+/// cap was hit), and in which pipeline phase. This is the payload of the
+/// three-valued outcome — definite verdicts never carry one.
 struct UnknownInfo {
   /// "deadline" / "steps" / "memory" / "cancelled" for guard trips, "caps"
   /// when a structural search cap (not a resource budget) was the cause.
   std::string reason;
   /// Pipeline phase that spent the tripping step (GuardPhaseName).
   std::string phase;
-  /// Guard steps charged by this decision when it gave up.
-  uint64_t steps = 0;
 };
 
 /// Who answered, how, and — for kUnknown — why not. One attribution struct
 /// serves both the checker-level ContainmentResult and the batch engine's
 /// BatchOutcome, so the verdict surface cannot drift between the two.
 struct Attribution {
-  ContainmentMethod method = ContainmentMethod::kDirectSearch;
-  /// Name of the winning Strategy (src/core/strategy.h); empty when the
-  /// strategy layer never ran (parse errors, preempted pairs).
+  /// Name of the winning Strategy (src/core/strategy.h), or "fact-board";
+  /// empty for kUnknown, and when no strategy ran (a P without disjuncts).
   std::string strategy;
+  /// How the winner answered (e.g. "holds classically (schema-free)"), or
+  /// why the decision gave up.
   std::string note;
   /// Present exactly when the verdict is kUnknown: why the pipeline gave up.
   std::optional<UnknownInfo> unknown;
@@ -63,7 +49,7 @@ struct Attribution {
 struct ContainmentResult {
   Verdict verdict = Verdict::kUnknown;
 
-  /// Method / winning strategy / note / kUnknown details.
+  /// Winning strategy / note / kUnknown details.
   Attribution attr;
 
   /// For kNotContained via direct/sparse search: a finite graph G with

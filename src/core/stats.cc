@@ -59,18 +59,17 @@ void PipelineStats::Reset() {
   for (std::atomic<uint64_t>* a :
        {&parse_ns, &normalize_ns, &screen_ns, &direct_ns, &entailment_ns,
         &reduction_ns, &batch_wall_ns, &pairs_total, &pairs_contained,
-        &pairs_not_contained, &pairs_unknown, &pairs_error, &method_classical,
-        &method_direct, &method_sparse, &method_reduction, &method_trivial,
-        &disjuncts_total, &normal_tbox_hits, &normal_tbox_misses, &regex_hits,
-        &regex_misses, &closure_hits, &closure_misses, &schema_ctx_hits,
-        &schema_ctx_misses, &query_ctx_hits, &query_ctx_misses,
-        &compile_memo_hits, &compile_memo_misses, &cache_evictions,
-        &cache_evicted_bytes, &cache_retained_bytes, &warmstart_loaded,
-        &warmstart_hits, &warmstart_rejected, &requests_shed,
-        &countermodel_count, &countermodel_nodes_total, &countermodel_nodes_max,
-        &guards_total, &budget_deadline, &budget_steps, &budget_memory,
-        &budget_cancelled, &pairs_preempted, &portfolio_races,
-        &facts_published, &facts_consumed}) {
+        &pairs_not_contained, &pairs_unknown, &pairs_error, &disjuncts_total,
+        &normal_tbox_hits, &normal_tbox_misses, &regex_hits, &regex_misses,
+        &closure_hits, &closure_misses, &schema_ctx_hits, &schema_ctx_misses,
+        &query_ctx_hits, &query_ctx_misses, &compile_memo_hits,
+        &compile_memo_misses, &cache_evictions, &cache_evicted_bytes,
+        &cache_retained_bytes, &warmstart_loaded, &warmstart_hits,
+        &warmstart_rejected, &requests_shed, &countermodel_count,
+        &countermodel_nodes_total, &countermodel_nodes_max, &guards_total,
+        &budget_deadline, &budget_steps, &budget_memory, &budget_cancelled,
+        &pairs_preempted, &portfolio_races, &facts_published,
+        &facts_consumed}) {
     a->store(0, std::memory_order_relaxed);
   }
   for (auto* arr : {&strategy_wins, &strategy_cancelled,
@@ -115,14 +114,6 @@ std::string PipelineStats::ToJson() const {
   w.Key("not_contained").UInt(V(pairs_not_contained));
   w.Key("unknown").UInt(V(pairs_unknown));
   w.Key("errors").UInt(V(pairs_error));
-  w.EndObject();
-
-  w.Key("methods").BeginObject();
-  w.Key("classical").UInt(V(method_classical));
-  w.Key("direct_search").UInt(V(method_direct));
-  w.Key("sparse").UInt(V(method_sparse));
-  w.Key("reduction").UInt(V(method_reduction));
-  w.Key("trivial").UInt(V(method_trivial));
   w.EndObject();
 
   w.Key("disjuncts").UInt(V(disjuncts_total));

@@ -13,7 +13,8 @@
 namespace gqc {
 
 /// Aggregated observability for the containment pipeline: per-phase wall
-/// time, cache effectiveness, countermodel sizes, and verdict/method tallies.
+/// time, cache effectiveness, countermodel sizes, verdict tallies and
+/// per-strategy attribution.
 ///
 /// One PipelineStats instance may be shared by many concurrent workers (the
 /// batch engine threads one through every pair); every field is an atomic
@@ -46,20 +47,14 @@ struct PipelineStats {
   std::atomic<uint64_t> pairs_unknown{0};
   std::atomic<uint64_t> pairs_error{0};  // parse/setup failures
 
-  // --- method tallies (which decision path answered) ---
-  std::atomic<uint64_t> method_classical{0};
-  std::atomic<uint64_t> method_direct{0};
-  std::atomic<uint64_t> method_sparse{0};
-  std::atomic<uint64_t> method_reduction{0};
-  std::atomic<uint64_t> method_trivial{0};
-
   // --- work volume ---
   std::atomic<uint64_t> disjuncts_total{0};
 
   // --- strategy attribution (src/core/strategy.h) ---
   // Indexed by StrategyId. A "win" is a definite verdict credited to the
-  // strategy (sequential or portfolio mode); "cancelled" counts portfolio
-  // losers unwound by race cancellation after a sibling's definite verdict;
+  // strategy (sequential or portfolio mode) — which strategy answered is the
+  // one attribution record; "cancelled" counts portfolio losers unwound by
+  // race cancellation after a sibling's definite verdict;
   // "inconclusive" counts completed runs that answered kUnknown.
   std::array<std::atomic<uint64_t>, kStrategyCount> strategy_wins{};
   std::array<std::atomic<uint64_t>, kStrategyCount> strategy_cancelled{};

@@ -42,7 +42,6 @@ UnknownInfo UnknownFromGuard(const ResourceGuard* guard) {
   } else {
     info.reason = "caps";
   }
-  if (guard != nullptr) info.steps = guard->steps_spent();
   return info;
 }
 
@@ -102,7 +101,6 @@ ContainmentResult RefutedByWitness(const StrategyContext& ctx,
                                    std::optional<Graph> witness) {
   ContainmentResult result;
   result.verdict = Verdict::kNotContained;
-  result.attr.method = ContainmentMethod::kDirectSearch;
   if (ctx.options->minimize_countermodels && witness.has_value()) {
     Ucrpq p_union;
     p_union.AddDisjunct(*ctx.p);
@@ -144,7 +142,6 @@ ContainmentResult ScreenStrategy::Run(const StrategyContext& ctx,
       std::any_of(ctx.q->Disjuncts().begin(), ctx.q->Disjuncts().end(),
                   MatchesAnyNonEmptyGraph)) {
     result.verdict = Verdict::kContained;
-    result.attr.method = ContainmentMethod::kTrivial;
     result.attr.note = "a disjunct of Q matches every non-empty graph";
     return result;
   }
@@ -161,7 +158,6 @@ ContainmentResult ScreenStrategy::Run(const StrategyContext& ctx,
   QueryContainmentResult classical = ClassicalContainment(*expansions, *ctx.q);
   if (classical.verdict == Verdict::kContained) {
     result.verdict = Verdict::kContained;
-    result.attr.method = ContainmentMethod::kClassical;
     result.attr.note = "holds classically (schema-free)";
     return result;
   }
@@ -201,9 +197,6 @@ ContainmentResult DirectStrategy::Run(const StrategyContext& ctx,
     // conditions — exhaustive seeds, no budget caps).
     ContainmentResult result;
     result.verdict = Verdict::kContained;
-    result.attr.method = ctx.schema->HasParticipationConstraints()
-                             ? ContainmentMethod::kDirectSearch
-                             : ContainmentMethod::kSparse;
     return result;
   }
   return Inconclusive();
@@ -263,17 +256,14 @@ class ReductionStrategy final : public Strategy {
   StrategyId id() const override { return StrategyId::kReduction; }
   Cost cost() const override { return Cost::kExpensive; }
   bool Applicable(const StrategyContext& ctx) const override {
-    if (ctx.options->disable_reduction) return false;
-    if (!ctx.schema->HasParticipationConstraints()) return false;
-    bool fragment_ok =
-        ctx.q->IsSimple() && ctx.q->IsConnected() && ctx.p->IsConnected();
-    if (!fragment_ok) return false;
-    bool alcq_case = !ctx.schema->UsesInverse();
-    bool alci_case = !ctx.schema->UsesCounting() && ctx.q->IsOneWay();
-    if (!alcq_case && !alci_case) return false;
-    // Computing a closure inline interns fresh concepts into the vocabulary;
-    // under a shared vocabulary only a precomputed closure is usable.
-    return ctx.closure != nullptr || !ctx.vocab_shared;
+    if (ctx.options->disable_reduction || !ctx.p->IsConnected() ||
+        !ReductionCovers(*ctx.schema, *ctx.q)) {
+      return false;
+    }
+    // Building a closure interns fresh concepts into the vocabulary; under a
+    // shared vocabulary only a precomputed closure is usable.
+    return ctx.closure != nullptr ||
+           (!ctx.vocab_shared && ctx.caches != nullptr);
   }
   ContainmentResult Run(const StrategyContext& ctx,
                         ResourceGuard* guard) const override;
@@ -281,8 +271,8 @@ class ReductionStrategy final : public Strategy {
 
 ContainmentResult ReductionStrategy::Run(const StrategyContext& ctx,
                                          ResourceGuard* guard) const {
-  // The (T, Q)-dependent Tp closure may be supplied by the caller (batch
-  // engine), come from the per-checker cache, or be computed inline — same
+  // The (T, Q)-dependent Tp closure is either precomputed by the caller (the
+  // engine's query context) or built through the checker's memo — same
   // answers either way.
   ReductionOptions opts;
   opts.countermodel = GuardedCountermodelOptions(ctx, guard);
@@ -296,26 +286,22 @@ ContainmentResult ReductionStrategy::Run(const StrategyContext& ctx,
   const ExpansionSet* expansions =
       SharedExpansions(ctx, opts.countermodel.expansion);
   ReductionResult red;
-  if (ctx.closure != nullptr) {
-    red = ContainmentViaEntailment(*ctx.p, *ctx.q, *ctx.schema, *ctx.closure,
-                                   opts, expansions);
-  } else if (ctx.options->enable_caching && ctx.caches != nullptr) {
-    ContainmentCaches::ClosureEntry entry =
-        ctx.caches->GetClosure(*ctx.q, *ctx.schema, alcq_case, ctx.vocab, opts);
-    if (entry.closure != nullptr) {
-      red = ContainmentViaEntailment(*ctx.p, *ctx.q, *ctx.schema,
-                                     *entry.closure, opts, expansions);
-    } else {
-      red.note = entry.error;
-    }
+  const TpClosure* closure = ctx.closure;
+  ContainmentCaches::ClosureEntry entry;
+  if (closure == nullptr) {
+    entry = ctx.caches->GetClosure(*ctx.q, *ctx.schema, alcq_case, ctx.vocab,
+                                   opts);
+    closure = entry.closure.get();
+  }
+  if (closure != nullptr) {
+    red = ContainmentViaEntailment(*ctx.p, *ctx.q, *ctx.schema, *closure, opts,
+                                   expansions);
   } else {
-    red = ContainmentViaEntailment(*ctx.p, *ctx.q, *ctx.schema, alcq_case,
-                                   ctx.vocab, opts);
+    red.note = entry.error;
   }
   if (red.countermodel_found == EngineAnswer::kYes) {
     ContainmentResult result;
     result.verdict = Verdict::kNotContained;
-    result.attr.method = ContainmentMethod::kReduction;
     result.central_part = std::move(red.central_part);
     // The central part is not a full countermodel (stubs defer their
     // participation constraints; the semantic re-verification happens
@@ -329,7 +315,6 @@ ContainmentResult ReductionStrategy::Run(const StrategyContext& ctx,
   if (red.countermodel_found == EngineAnswer::kNo) {
     ContainmentResult result;
     result.verdict = Verdict::kContained;
-    result.attr.method = ContainmentMethod::kReduction;
     return result;
   }
   return Inconclusive(red.note.empty() ? "reduction inconclusive" : red.note);
@@ -351,12 +336,6 @@ const std::vector<const Strategy*>& AllStrategies() {
 const std::vector<const Strategy*>& SequentialOrder() {
   static const std::vector<const Strategy*> order = {&kScreen, &kDirect,
                                                      &kReduction};
-  return order;
-}
-
-const std::vector<const Strategy*>& DefaultPortfolio() {
-  static const std::vector<const Strategy*> order = {&kScreen, &kDirect,
-                                                     &kWitness, &kReduction};
   return order;
 }
 

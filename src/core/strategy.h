@@ -49,9 +49,10 @@ struct StrategyContext {
   const Crpq* p = nullptr;            // the disjunct under decision
   const Ucrpq* q = nullptr;           // the right-hand query
   const NormalTBox* schema = nullptr; // normalized TBox
-  /// Precomputed Tp(T, Q̂) closure, or null. When null and `vocab_shared` is
-  /// false, the reduction strategy may compute one (interning fresh names
-  /// into `vocab`).
+  /// Precomputed Tp(T, Q̂) closure, or null. When null, `vocab_shared` is
+  /// false and `caches` is set (the ContainmentChecker library path), the
+  /// reduction strategy builds one through `caches`, interning fresh names
+  /// into `vocab`.
   const TpClosure* closure = nullptr;
   Vocabulary* vocab = nullptr;
   /// Per-checker memo (normalized TBoxes, closures); may be null.
@@ -61,16 +62,16 @@ struct StrategyContext {
   /// The disjunct's shared expansion set, or null (each strategy then
   /// enumerates its own). Thread-safe.
   DecisionExpansions* expansions = nullptr;
-  /// True when `vocab` is shared read-only across concurrent decisions (the
-  /// engine's disjunct parallelism and every portfolio race). Strategies
-  /// must not intern symbols then; the closure-less reduction is
-  /// inapplicable under a shared vocabulary.
+  /// True when `vocab` is shared read-only across concurrent decisions (every
+  /// engine decision: parallel disjuncts and races). Strategies must not
+  /// intern symbols then; the closure-less reduction is inapplicable under a
+  /// shared vocabulary.
   bool vocab_shared = false;
 };
 
 /// One pluggable decision procedure for a single connected disjunct p of P
-/// against (T, Q). The four registered strategies re-express the stages of
-/// the former hardwired pipeline (src/core/containment.cc):
+/// against (T, Q), run by DecideDisjunct (src/core/decide.h). The four
+/// registered strategies:
 ///
 ///   screen     cheap exact screens (trivial match-all + classical)
 ///   direct     direct bounded countermodel search against the full TBox
@@ -78,9 +79,9 @@ struct StrategyContext {
 ///   reduction  full §3 reduction -> finite entailment
 ///
 /// Contract for Run():
-///  - a definite verdict (kContained / kNotContained) must be *exact* — the
-///    portfolio runner publishes whichever definite verdict lands first and
-///    cancels the rest, so two sound strategies can never disagree;
+///  - a definite verdict (kContained / kNotContained) must be *exact* — a
+///    race publishes whichever definite verdict lands first and cancels the
+///    rest, so two sound strategies can never disagree;
 ///  - kUnknown means "inconclusive, ask someone else" (attr.note may say
 ///    why); the runner composes the final Unknown attribution itself;
 ///  - every potentially-exponential loop must poll `guard` (Charge/Recheck)
@@ -118,11 +119,9 @@ const std::vector<const Strategy*>& AllStrategies();
 /// former hardwired pipeline, so running these in order with one shared
 /// guard reproduces the pre-strategy verdicts bit for bit. The witness
 /// strategy is excluded (it re-searches the direct strategy's space more
-/// deeply; only a concurrent race can win anything from it).
+/// deeply; only a concurrent race can win anything from it). A race runs
+/// AllStrategies() by default.
 const std::vector<const Strategy*>& SequentialOrder();
-
-/// Everything worth racing: screen, direct, witness, reduction.
-const std::vector<const Strategy*>& DefaultPortfolio();
 
 /// Looks up a strategy by its StrategyName; null if unknown.
 const Strategy* FindStrategy(std::string_view name);
@@ -137,7 +136,7 @@ Result<std::vector<const Strategy*>> ParseStrategyList(std::string_view csv);
 UnknownInfo UnknownFromGuard(const ResourceGuard* guard);
 
 /// Records countermodel-size stats for a kNotContained result (no-op
-/// otherwise or on a null sink). Called by the runners when a refutation
+/// otherwise or on a null sink). Called by the runner when a refutation
 /// becomes the disjunct verdict.
 void RecordRefutation(PipelineStats* stats, const ContainmentResult& r);
 

@@ -5,7 +5,7 @@
 #include <chrono>
 #include <utility>
 
-#include "src/core/portfolio.h"
+#include "src/core/decide.h"
 #include "src/core/validate.h"
 #include "src/dl/concept_parser.h"
 #include "src/dl/normalize.h"
@@ -43,9 +43,8 @@ std::size_t VocabBytes(const Vocabulary& vocab) {
 
 EngineCore::EngineCore(EngineOptions options)
     : options_(std::move(options)), pool_(options_.threads) {
-  // Wire the core-lifetime compile memo into every downstream search (the
-  // ContainmentCheckers DecidePair creates are per pair, so a per-checker
-  // memo would never see a second solve). Callers may pre-wire their own.
+  // Wire the core-lifetime compile memo into every downstream search, so
+  // every pair's solves share it. Callers may pre-wire their own.
   if (options_.containment.countermodel.limits.compile_memo == nullptr) {
     options_.containment.countermodel.limits.compile_memo = &compile_memo_;
   }
@@ -124,13 +123,8 @@ std::shared_ptr<const EngineCore::QueryContext> EngineCore::BuildQueryContext(
   } else {
     ctx->q = std::move(q).value();
     const NormalTBox& tbox = schema_ctx->tbox;
-    bool alcq_case = !tbox.UsesInverse();
-    bool alci_case = !tbox.UsesCounting() && ctx->q.IsOneWay();
-    ctx->reduction_applicable = !options_.containment.disable_reduction &&
-                                tbox.HasParticipationConstraints() &&
-                                ctx->q.IsSimple() && ctx->q.IsConnected() &&
-                                (alcq_case || alci_case);
-    if (ctx->reduction_applicable) {
+    if (!options_.containment.disable_reduction &&
+        ReductionCovers(tbox, ctx->q)) {
       ReductionOptions ropts;
       ropts.countermodel = options_.containment.countermodel;
       ropts.countermodel.limits.guard = guard;
@@ -138,13 +132,14 @@ std::shared_ptr<const EngineCore::QueryContext> EngineCore::BuildQueryContext(
       ropts.factorize.guard = guard;
       ropts.stats = &stats_;
       stats_.closure_misses.fetch_add(1, std::memory_order_relaxed);
-      auto closure = ComputeTpClosure(ctx->q, tbox, alcq_case, &ctx->vocab, ropts);
+      auto closure = ComputeTpClosure(ctx->q, tbox, !tbox.UsesInverse(),
+                                      &ctx->vocab, ropts);
+      // On failure the closure stays null and the reduction does not run for
+      // pairs against this context.
       if (closure.ok()) {
         ctx->closure =
             std::make_shared<const TpClosure>(std::move(closure).value());
       }
-      // On failure the closure stays null; pairs fall back to the checker's
-      // sequential path, which reproduces the same failure note.
     }
   }
   // Vocabulary layering: Q's context must extend the schema context (same
@@ -204,24 +199,19 @@ BatchOutcome EngineCore::DecidePair(const BatchItem& item,
   // Effective pair deadline: the tighter of the per-pair budget deadline
   // (relative to now) and the batch deadline (absolute, pinned at batch
   // start). Pinned once here and shared by every guard of this pair; step
-  // and memory budgets stay per disjunct.
-  ResourceBudget budget = options_.containment.resources;
-  budget.cancel = control.cancel;
-  bool has_deadline = control.has_deadline;
-  auto deadline = control.deadline;
-  if (budget.deadline_ms > 0) {
-    auto pair_deadline =
-        start + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                    std::chrono::duration<double, std::milli>(budget.deadline_ms));
-    if (!has_deadline || pair_deadline < deadline) deadline = pair_deadline;
-    has_deadline = true;
-  }
+  // and memory budgets stay per guard.
+  DecisionPolicy policy;
+  policy.budget = options_.containment.resources;
+  policy.budget.cancel = control.cancel;
+  policy.has_deadline = control.has_deadline;
+  policy.deadline = control.deadline;
+  policy.PinDeadline(start);
 
   // Preemption: a cancelled batch or an already-passed deadline skips the
   // pair entirely — no parsing, no searches — but still yields a (tallied)
   // Unknown outcome so completed batches always account for every item.
   bool cancelled = control.cancel.cancelled();
-  if (cancelled || (has_deadline && start >= deadline)) {
+  if (cancelled || (policy.has_deadline && start >= policy.deadline)) {
     out.ok = true;
     out.verdict = Verdict::kUnknown;
     out.attr.unknown.emplace();
@@ -239,7 +229,8 @@ BatchOutcome EngineCore::DecidePair(const BatchItem& item,
 
   // The setup guard spans context assembly (including a Tp-closure build on
   // a context miss); each disjunct decision below gets its own fresh guard.
-  ResourceGuard setup_guard(budget, has_deadline, deadline);
+  ResourceGuard setup_guard(policy.budget, policy.has_deadline,
+                            policy.deadline);
   std::shared_ptr<const QueryContext> qctx =
       GetQueryContext(item.schema_text, item.q_text, &setup_guard);
   if (setup_guard.exhausted()) stats_.RecordGuard(setup_guard);
@@ -264,90 +255,26 @@ BatchOutcome EngineCore::DecidePair(const BatchItem& item,
     return out;
   }
 
-  ContainmentOptions copts = options_.containment;
-  copts.stats = &stats_;
-  ContainmentChecker checker(&vocab, copts);
-  const NormalTBox& tbox = qctx->schema->tbox;
-  const TpClosure* closure = qctx->closure.get();
-  const std::vector<Crpq>& disjuncts = p.value().Disjuncts();
-
-  std::vector<ContainmentResult> per_disjunct;
+  // Every strategy only reads the pair vocabulary (vocab_shared), so the
+  // disjuncts and a race's strategies nest freely on the pool; the reduction
+  // runs only on the context's precomputed closure.
+  StrategyContext ctx;
+  ctx.q = &qctx->q;
+  ctx.schema = &qctx->schema->tbox;
+  ctx.closure = qctx->closure.get();
+  ctx.vocab = &vocab;
+  ctx.options = &options_.containment;
+  ctx.stats = &stats_;
+  ctx.vocab_shared = true;
+  policy.race = options_.portfolio;
+  policy.pool = &pool_;
   if (options_.portfolio) {
-    // Portfolio mode: each disjunct is decided by racing the applicable
-    // strategies (src/core/portfolio.h), sharing facts through the engine
-    // board. Every strategy is read-only on the pair vocabulary
-    // (vocab_shared; the closure-less reduction gates itself out), so
-    // disjunct- and strategy-level parallelism both nest freely on the pool.
-    const FpKey scope_key(JoinKeyParts(item.schema_text, item.q_text));
-    const ContainmentOptions& copts_ref = checker.options();
-    auto decide_one = [&](std::size_t i) {
-      StrategyContext sctx;
-      sctx.p = &disjuncts[i];
-      sctx.q = &qctx->q;
-      sctx.schema = &tbox;
-      sctx.closure = closure;
-      sctx.vocab = &vocab;
-      sctx.caches = checker.caches();
-      sctx.options = &copts_ref;
-      sctx.stats = &stats_;
-      sctx.vocab_shared = true;
-      PortfolioOptions popts;
-      popts.strategies = copts_ref.strategies;
-      popts.pool = &pool_;
-      popts.board = &facts_;
-      popts.scope_key = scope_key;
-      popts.disjunct_key =
-          FpKey(JoinKeyParts(scope_key.text(), disjuncts[i].ToString(vocab)));
-      popts.shared_concept_limit = qctx->vocab.concept_count();
-      popts.shared_role_limit = qctx->vocab.role_count();
-      popts.budget = budget;
-      popts.has_deadline = has_deadline;
-      popts.deadline = deadline;
-      per_disjunct[i] = RunPortfolio(sctx, popts);
-    };
-    per_disjunct.resize(disjuncts.size());
-    if (disjuncts.size() > 1 && pool_.concurrency() > 1) {
-      pool_.ParallelFor(disjuncts.size(), decide_one);
-    } else {
-      for (std::size_t i = 0; i < disjuncts.size(); ++i) {
-        decide_one(i);
-        if (per_disjunct[i].verdict == Verdict::kNotContained) {
-          per_disjunct.resize(i + 1);
-          break;
-        }
-      }
-    }
-  } else if (disjuncts.size() > 1 && pool_.concurrency() > 1 &&
-             (closure != nullptr || !qctx->reduction_applicable)) {
-    // Disjunct-level parallelism requires every DecideDisjunct call to be
-    // read-only on the shared pair vocabulary, which holds exactly when the
-    // closure is precomputed (or the reduction cannot trigger for this Q).
-    per_disjunct.resize(disjuncts.size());
-    // One guard per disjunct (fresh step/memory counters, shared absolute
-    // deadline + token) keeps budget verdicts independent of scheduling.
-    std::vector<std::unique_ptr<ResourceGuard>> guards;
-    guards.reserve(disjuncts.size());
-    for (std::size_t i = 0; i < disjuncts.size(); ++i) {
-      guards.push_back(
-          std::make_unique<ResourceGuard>(budget, has_deadline, deadline));
-    }
-    pool_.ParallelFor(disjuncts.size(), [&](std::size_t i) {
-      per_disjunct[i] = checker.DecideDisjunct(disjuncts[i], qctx->q, tbox,
-                                               closure, guards[i].get());
-    });
-    for (const auto& guard : guards) stats_.RecordGuard(*guard);
-  } else {
-    per_disjunct.reserve(disjuncts.size());
-    for (const Crpq& d : disjuncts) {
-      ResourceGuard guard(budget, has_deadline, deadline);
-      per_disjunct.push_back(
-          checker.DecideDisjunct(d, qctx->q, tbox, closure, &guard));
-      stats_.RecordGuard(guard);
-      if (per_disjunct.back().verdict == Verdict::kNotContained) break;
-    }
+    policy.board = &facts_;
+    policy.scope_key = FpKey(JoinKeyParts(item.schema_text, item.q_text));
+    policy.shared_concept_limit = qctx->vocab.concept_count();
+    policy.shared_role_limit = qctx->vocab.role_count();
   }
-  ContainmentResult combined = ContainmentChecker::Combine(std::move(per_disjunct));
-  TallyPair(&stats_, combined);
+  ContainmentResult combined = DecideUnion(p.value(), ctx, policy);
   out.ok = true;
   out.verdict = combined.verdict;
   out.attr = std::move(combined.attr);
@@ -506,7 +433,6 @@ std::string OutcomeToJson(const BatchOutcome& outcome) {
     w.Key("error").String(outcome.error);
   } else {
     w.Key("verdict").String(VerdictName(outcome.verdict));
-    w.Key("method").String(ContainmentMethodName(outcome.attr.method));
     if (!outcome.attr.strategy.empty()) {
       w.Key("strategy").String(outcome.attr.strategy);
     }

@@ -55,10 +55,10 @@ struct BatchItem {
 
 /// The engine's answer for one item. `ok` is false on parse/setup failures
 /// (`error` says why); otherwise `verdict` and `attr` are exactly the
-/// checker-level ContainmentResult surface (method, winning strategy, note,
-/// kUnknown details — one shared Attribution struct, so the two cannot
-/// drift), and `countermodel_nodes` is the size of the returned countermodel
-/// (or central part), 0 when there is none.
+/// checker-level ContainmentResult surface (winning strategy, note, kUnknown
+/// details — one shared Attribution struct, so the two cannot drift), and
+/// `countermodel_nodes` is the size of the returned countermodel (or central
+/// part), 0 when there is none.
 struct BatchOutcome {
   std::string id;
   bool ok = false;
@@ -70,7 +70,7 @@ struct BatchOutcome {
 };
 
 /// The per-pair decision core of the batch engine: context assembly,
-/// strategy/portfolio dispatch, guards, cancellation, stats — everything
+/// the decision policy, guards, cancellation, stats — everything
 /// *below* batch orchestration. The Engine facade (src/engine/engine.h)
 /// layers batch fan-out on top; the serving layer (src/serve) layers
 /// sessions and admission on top of the same core. Both reuse the one
@@ -108,15 +108,15 @@ class EngineCore {
   };
 
   /// (schema text, Q text) -> Q parsed in a copy of the schema vocabulary,
-  /// plus the precomputed Tp closure when the reduction applies to (T, Q).
+  /// plus the precomputed Tp closure when the reduction covers (T, Q).
   struct QueryContext {
     std::shared_ptr<const SchemaContext> schema;
     Vocabulary vocab;
     Ucrpq q;
-    /// Reduction would run for some disjunct of some P (participation
-    /// constraints present, Q in a supported fragment).
-    bool reduction_applicable = false;
-    std::shared_ptr<const TpClosure> closure;  // null if N/A or failed
+    /// The only closure pairs against this context use: null when the
+    /// reduction does not cover (T, Q) or the build failed, and the
+    /// reduction then does not run.
+    std::shared_ptr<const TpClosure> closure;
     std::string error;  // non-empty: parse failed, other fields invalid
     bool warm = false;
   };

@@ -11,9 +11,10 @@
 ///   ParseTBox / ParseSchema          schema text -> TBox
 ///   ParseUcrpq / ParseCrpq           query text -> UC2RPQ
 ///   ContainmentChecker               P ⊑_T Q for one vocabulary
-///   Strategy / RunPortfolio          pluggable deciders and the racing
-///                                    portfolio runner (strategy.h,
-///                                    portfolio.h, factboard.h)
+///   Strategy / DecideUnion           pluggable deciders, the one strategy
+///                                    runner and disjunct loop for both
+///                                    modes (strategy.h, decide.h,
+///                                    factboard.h)
 ///   Engine / BatchItem / ...         parallel batch service with shared
 ///                                    caches and pipeline metrics
 ///   FiniteEntails                    G, T ⊨fin Q
@@ -30,8 +31,8 @@
 /// and may change freely.
 
 #include "src/core/containment.h"
+#include "src/core/decide.h"
 #include "src/core/factboard.h"
-#include "src/core/portfolio.h"
 #include "src/core/strategy.h"
 #include "src/dl/concept_parser.h"
 #include "src/dl/normalize.h"

@@ -8,7 +8,9 @@
 #include <thread>
 #include <vector>
 
+#include "src/dl/concept_parser.h"
 #include "src/engine/engine.h"
+#include "src/query/parser.h"
 #include "src/schema/workload.h"
 #include "src/util/json.h"
 #include "src/util/thread_pool.h"
@@ -109,13 +111,105 @@ TEST(EngineTest, OneAndEightThreadsAgreeBitForBit) {
     EXPECT_EQ(base[i].ok, out[i].ok) << "item " << i;
     EXPECT_EQ(base[i].error, out[i].error) << "item " << i;
     EXPECT_EQ(base[i].verdict, out[i].verdict) << "item " << i;
-    EXPECT_EQ(base[i].attr.method, out[i].attr.method) << "item " << i;
+    EXPECT_EQ(base[i].attr.strategy, out[i].attr.strategy) << "item " << i;
     EXPECT_EQ(base[i].attr.note, out[i].attr.note) << "item " << i;
     EXPECT_EQ(base[i].countermodel_nodes, out[i].countermodel_nodes)
         << "item " << i;
   }
   EXPECT_EQ(sequential.stats().pairs_total.load(),
             parallel.stats().pairs_total.load());
+}
+
+/// OutcomeToJson without its wall-clock field.
+std::string OutcomeLine(const BatchOutcome& outcome) {
+  std::string line = OutcomeToJson(outcome);
+  std::size_t at = line.find(",\"wall_ms\":");
+  return at == std::string::npos ? line : line.substr(0, at) + "}";
+}
+
+// A union P goes through the one disjunct loop: in order up to the first
+// kNotContained on one thread, in parallel on eight, folded the same way.
+// Each P joins a not-contained, a budget-unknown and a contained disjunct in
+// every order (and the last two alone, where the unknown poisons the
+// contained). Sequential outcomes must not depend on the thread count and
+// must agree with the checker's verdict and strategy; portfolio mode must
+// reach the same definite verdicts.
+TEST(EngineTest, UnionDisjunctsAgreeAcrossThreadsModesAndTheChecker) {
+  // A participation chain C0 ⊑ ∃r0.C1 ⊑ … : a countermodel of C0(x) carries
+  // the whole chain, more than the step budget lets the search build.
+  std::string schema;
+  for (int l = 0; l < 10; ++l) {
+    schema += "C" + std::to_string(l) + " <= exists r" + std::to_string(l) +
+              ".C" + std::to_string(l + 1) + "\n";
+  }
+  const std::string q = "B(x)";
+  const std::string refuted = "A(x)";
+  const std::string unknown = "C0(x)";
+  const std::string contained = "A(y), B(y)";
+  constexpr uint64_t kSteps = 10000;
+
+  std::vector<std::vector<std::string>> unions = {
+      {refuted, unknown, contained}, {refuted, contained, unknown},
+      {unknown, refuted, contained}, {unknown, contained, refuted},
+      {contained, refuted, unknown}, {contained, unknown, refuted},
+      {unknown, contained},          {contained, unknown}};
+  std::vector<BatchItem> items;
+  for (const std::vector<std::string>& disjuncts : unions) {
+    BatchItem item;
+    item.id = std::to_string(items.size());
+    item.schema_text = schema;
+    item.q_text = q;
+    for (const std::string& d : disjuncts) {
+      item.p_text += (item.p_text.empty() ? "" : " ; ") + d;
+    }
+    items.push_back(std::move(item));
+  }
+
+  auto decide = [&](std::size_t threads, bool portfolio) {
+    EngineOptions opts;
+    opts.threads = threads;
+    opts.portfolio = portfolio;
+    opts.containment.resources.max_steps = kSteps;
+    Engine engine(opts);
+    return engine.DecideBatch(items);
+  };
+  std::vector<BatchOutcome> one = decide(1, false);
+  std::vector<BatchOutcome> eight = decide(8, false);
+  ASSERT_EQ(one.size(), items.size());
+  ASSERT_EQ(eight.size(), items.size());
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    SCOPED_TRACE(items[i].p_text);
+    ASSERT_TRUE(one[i].ok) << one[i].error;
+    EXPECT_EQ(OutcomeLine(one[i]), OutcomeLine(eight[i]));
+    if (unions[i].size() == 3) {
+      EXPECT_EQ(one[i].verdict, Verdict::kNotContained);
+    } else {
+      EXPECT_EQ(one[i].verdict, Verdict::kUnknown);
+      EXPECT_EQ(one[i].attr.unknown_reason(), "steps");
+    }
+
+    Vocabulary vocab;
+    auto tbox = ParseTBox(items[i].schema_text, &vocab);
+    auto p = ParseUcrpq(items[i].p_text, &vocab);
+    auto qq = ParseUcrpq(items[i].q_text, &vocab);
+    ASSERT_TRUE(tbox.ok() && p.ok() && qq.ok());
+    ContainmentOptions copts;
+    copts.resources.max_steps = kSteps;
+    ContainmentChecker checker(&vocab, copts);
+    ContainmentResult r = checker.Decide(p.value(), qq.value(), tbox.value());
+    EXPECT_EQ(r.verdict, one[i].verdict);
+    EXPECT_EQ(r.attr.strategy, one[i].attr.strategy);
+  }
+
+  for (std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
+    SCOPED_TRACE("portfolio threads " + std::to_string(threads));
+    std::vector<BatchOutcome> raced = decide(threads, true);
+    ASSERT_EQ(raced.size(), items.size());
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      if (one[i].verdict == Verdict::kUnknown) continue;
+      EXPECT_EQ(raced[i].verdict, one[i].verdict) << items[i].p_text;
+    }
+  }
 }
 
 TEST(EngineTest, RepeatedSchemasAndQueriesHitTheCaches) {
@@ -216,7 +310,7 @@ TEST(EngineTest, OutcomeJsonIsParseableAndComplete) {
   outcome.id = "pair \"7\"";
   outcome.ok = true;
   outcome.verdict = Verdict::kNotContained;
-  outcome.attr.method = ContainmentMethod::kDirectSearch;
+  outcome.attr.strategy = "direct";
   outcome.attr.note = "line1\nline2";
   outcome.countermodel_nodes = 3;
   outcome.wall_ms = 1.5;
@@ -224,15 +318,18 @@ TEST(EngineTest, OutcomeJsonIsParseableAndComplete) {
   std::string json = OutcomeToJson(outcome);
   auto fields = ParseFlatJsonObject(json);
   ASSERT_TRUE(fields.ok()) << fields.error() << "\n" << json;
-  std::string id, verdict, note, nodes;
+  std::string id, verdict, strategy, note, nodes;
   for (const JsonField& f : fields.value()) {
+    EXPECT_NE(f.key, "method");  // `strategy` and `note` say who and how
     if (f.key == "id") id = f.value;
     if (f.key == "verdict") verdict = f.value;
+    if (f.key == "strategy") strategy = f.value;
     if (f.key == "note") note = f.value;
     if (f.key == "countermodel_nodes") nodes = f.value;
   }
   EXPECT_EQ(id, "pair \"7\"");
   EXPECT_EQ(verdict, VerdictName(Verdict::kNotContained));
+  EXPECT_EQ(strategy, "direct");
   EXPECT_EQ(note, "line1\nline2");
   EXPECT_EQ(nodes, "3");
 }
@@ -245,7 +342,6 @@ TEST(EngineTest, OutcomeJsonCarriesWinningStrategy) {
   outcome.id = "p";
   outcome.ok = true;
   outcome.verdict = Verdict::kContained;
-  outcome.attr.method = ContainmentMethod::kReduction;
   outcome.attr.strategy = "reduction";
   EXPECT_NE(OutcomeToJson(outcome).find("\"strategy\":\"reduction\""),
             std::string::npos);

@@ -230,7 +230,7 @@ void ExpectSameOutcomes(const std::vector<BatchOutcome>& base,
     EXPECT_EQ(base[i].ok, out[i].ok) << "item " << i;
     EXPECT_EQ(base[i].error, out[i].error) << "item " << i;
     EXPECT_EQ(base[i].verdict, out[i].verdict) << "item " << i;
-    EXPECT_EQ(base[i].attr.method, out[i].attr.method) << "item " << i;
+    EXPECT_EQ(base[i].attr.strategy, out[i].attr.strategy) << "item " << i;
     EXPECT_EQ(base[i].attr.note, out[i].attr.note) << "item " << i;
     EXPECT_EQ(base[i].countermodel_nodes, out[i].countermodel_nodes)
         << "item " << i;

@@ -1,4 +1,4 @@
-// Strategy API + racing portfolio tests.
+// Strategy API + racing portfolio tests (src/core/decide.h).
 //
 // The load-bearing property is determinism of DEFINITE verdicts: racing
 // strategies with per-strategy budgets and first-definite-wins cancellation
@@ -19,7 +19,7 @@
 #include <string>
 #include <vector>
 
-#include "src/core/portfolio.h"
+#include "src/core/decide.h"
 #include "src/core/strategy.h"
 #include "src/dl/concept_parser.h"
 #include "src/dl/normalize.h"
@@ -98,7 +98,6 @@ TEST(StrategyRegistryTest, NamesRoundTripAndOrdersAreConsistent) {
     EXPECT_LE(static_cast<int>(seq[i - 1]->cost()),
               static_cast<int>(seq[i]->cost()));
   }
-  EXPECT_EQ(DefaultPortfolio().size(), kStrategyCount);
 }
 
 TEST(StrategyRegistryTest, ParseStrategyListAcceptsAndRejects) {
@@ -137,7 +136,6 @@ TEST(StrategyTest, ExplicitSequentialOrderMatchesDefault) {
     ContainmentResult b = explicit_order.Decide(p2.value(), q2.value(), t2.value());
     SCOPED_TRACE(item.id);
     EXPECT_EQ(a.verdict, b.verdict);
-    EXPECT_EQ(a.attr.method, b.attr.method);
     EXPECT_EQ(a.attr.strategy, b.attr.strategy);
     EXPECT_EQ(a.attr.note, b.attr.note);
   }
@@ -235,7 +233,6 @@ TEST(FactBoardTest, ResultMemoStoresOnlyDefiniteVerdicts) {
 
   ContainmentResult definite;
   definite.verdict = Verdict::kContained;
-  definite.attr.method = ContainmentMethod::kReduction;
   definite.attr.strategy = "reduction";
   board.PublishResult(FpKey("k"), definite, 8, 8, &stats);
   auto memo = board.LookupResult(FpKey("k"), &stats);
@@ -321,6 +318,8 @@ TEST(PortfolioTest, StatsExposeStrategyAndFactBoardBlocks) {
   EXPECT_NE(json.find("\"fact_board\""), std::string::npos);
   EXPECT_NE(json.find("\"screen\""), std::string::npos);
   EXPECT_NE(json.find("\"witness\""), std::string::npos);
+  // Strategies are the one attribution record; there is no methods block.
+  EXPECT_EQ(json.find("\"methods\""), std::string::npos);
 }
 
 TEST(PortfolioTest, FactBoardShortCutsRepeatedDisjuncts) {
@@ -387,28 +386,29 @@ TEST(PortfolioTest, RawRunnerAgreesWithCheckerAndPublishesFacts) {
   PipelineStats stats;
   copts.stats = &stats;
   ContainmentChecker checker(&vocab, copts);
+  EXPECT_EQ(checker.Decide(p.value(), q.value(), normal).verdict,
+            Verdict::kNotContained);
 
   StrategyContext ctx;
   ctx.p = &p.value().Disjuncts()[0];
   ctx.q = &q.value();
   ctx.schema = &normal;
   ctx.vocab = &vocab;
-  ctx.caches = checker.caches();
   ctx.options = &checker.options();
   ctx.stats = &stats;
   ctx.vocab_shared = true;
 
   ThreadPool pool(4);
   SharedFactBoard board;
-  PortfolioOptions popts;
-  popts.pool = &pool;
-  popts.board = &board;
-  popts.scope_key = FpKey("scope");
-  popts.disjunct_key = FpKey("scope/p0");
-  popts.shared_concept_limit = vocab.concept_count();
-  popts.shared_role_limit = vocab.role_count();
+  DecisionPolicy policy;
+  policy.race = true;
+  policy.pool = &pool;
+  policy.board = &board;
+  policy.scope_key = FpKey("scope");
+  policy.shared_concept_limit = vocab.concept_count();
+  policy.shared_role_limit = vocab.role_count();
 
-  ContainmentResult raced = RunPortfolio(ctx, popts);
+  ContainmentResult raced = DecideDisjunct(ctx, policy);
   EXPECT_EQ(raced.verdict, Verdict::kNotContained);
   EXPECT_FALSE(raced.attr.strategy.empty());
   ASSERT_TRUE(raced.countermodel.has_value());
@@ -417,7 +417,7 @@ TEST(PortfolioTest, RawRunnerAgreesWithCheckerAndPublishesFacts) {
   // is answered from the board without a race.
   EXPECT_GE(board.result_count(), 1u);
   uint64_t races_before = stats.portfolio_races.load();
-  ContainmentResult again = RunPortfolio(ctx, popts);
+  ContainmentResult again = DecideDisjunct(ctx, policy);
   EXPECT_EQ(again.verdict, Verdict::kNotContained);
   EXPECT_EQ(stats.portfolio_races.load(), races_before);
 }

@@ -47,7 +47,7 @@ TEST_F(ReductionTest, StubsAnswerWhereChaseCannot) {
   ContainmentChecker checker(&vocab_, starved);
   auto with_reduction = checker.Decide(p, q, tbox);
   EXPECT_EQ(with_reduction.verdict, Verdict::kNotContained);
-  EXPECT_EQ(with_reduction.attr.method, ContainmentMethod::kReduction);
+  EXPECT_EQ(with_reduction.attr.strategy, "reduction");
   ASSERT_TRUE(with_reduction.central_part.has_value());
   // The central part satisfies p, avoids the factorized query implicitly
   // (checked in the pipeline); its participation gaps are at stubs.

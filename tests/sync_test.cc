@@ -297,7 +297,7 @@ TEST(SyncTest, SharedStateStressEightThreads) {
 
       ContainmentResult definite;
       definite.verdict = Verdict::kNotContained;
-      definite.attr.method = ContainmentMethod::kDirectSearch;
+      definite.attr.strategy = "direct";
 
       PipelineStats stats;
       for (int i = 0; i < kIters; ++i) {

@@ -64,7 +64,7 @@ EXPO_FILE_PATTERNS = [
     r"src/core/sparse\.cc$",
     r"src/core/minimize\.cc$",
     r"src/core/strategy\.cc$",
-    r"src/core/portfolio\.cc$",
+    r"src/core/decide\.cc$",
     r"src/entailment/[^/]+\.cc$",
     r"src/frames/[^/]+\.cc$",
 ]
@@ -334,7 +334,7 @@ GUARD_WIRE_RE = re.compile(r"\bguard\b")
 def rule_strategy_run_guard(path, text, stripped, annotations):
     """Strategy::Run bodies must poll/wire their guard, including in loops.
 
-    Racing cancellation (PortfolioRunner's first-definite-wins token) reaches
+    Racing cancellation (DecideDisjunct's first-definite-wins token) reaches
     a losing strategy only through its ResourceGuard: a Run implementation
     that never polls or forwards the guard cannot be cancelled and turns the
     race into a wait-for-slowest. Loops inside Run are held to the guard-poll
