@@ -11,6 +11,7 @@
 #include "src/core/containment.h"
 #include "src/dl/concept_parser.h"
 #include "src/engine/engine.h"
+#include "src/query/canonical.h"
 #include "src/query/parser.h"
 
 namespace {
@@ -182,5 +183,32 @@ BENCHMARK(BM_E6_SequentialVsPortfolio)
     ->Unit(benchmark::kMillisecond)
     ->MeasureProcessCPUTime()
     ->UseRealTime();
+
+// Kernel: P's canonical expansions, which every disjunct decision starts
+// from (DESIGN.md §11.5). Arg 0 picks P's path atom — 0 the star over two
+// roles that perfbench's generator writes, 1 a star of even-length words —
+// and arg 1 the maximal word length (4 is the default; the witness racer
+// uses 6).
+void BM_E6_CanonicalExpansions(benchmark::State& state) {
+  Vocabulary vocab;
+  auto p = ParseCrpq(state.range(0) == 0 ? "A(x), ((r1 + r2)*)(x, y), B(y)"
+                                         : "A(x), ((r.r)*)(x, y), B(y)",
+                     &vocab);
+  ExpansionOptions options;
+  options.max_word_length = static_cast<std::size_t>(state.range(1));
+  std::size_t count = 0;
+  for (auto _ : state) {
+    ExpansionSet set = CanonicalExpansions(p.value(), options);
+    count = set.expansions.size();
+    benchmark::DoNotOptimize(set);
+  }
+  state.counters["expansions"] = static_cast<double>(count);
+}
+BENCHMARK(BM_E6_CanonicalExpansions)
+    ->Args({0, 4})
+    ->Args({0, 6})
+    ->Args({1, 4})
+    ->Args({1, 6})
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace

@@ -114,4 +114,32 @@ AuditResult ValidateCompiledRegex(const CompiledRegex& cr) {
   return std::nullopt;
 }
 
+AuditResult ValidateWordLengthBound(const Semiautomaton& a, uint32_t s,
+                                    uint32_t t, std::size_t max_len) {
+  const std::size_t n = a.StateCount();
+  std::vector<char> at(n, 0);
+  std::vector<char> after(n, 0);
+  at[s] = 1;
+  for (std::size_t len = 1; len <= max_len + n; ++len) {
+    std::fill(after.begin(), after.end(), 0);
+    bool any = false;
+    for (uint32_t q = 0; q < n; ++q) {
+      if (!at[q]) continue;
+      for (const auto& [symbol, r] : a.Out(q)) {
+        after[r] = 1;
+        any = true;
+      }
+    }
+    if (!any) break;
+    if (len > max_len && after[t]) {
+      return AuditViolation("the atom (" + std::to_string(s) + ", " +
+                            std::to_string(t) + ") has a word of length " +
+                            std::to_string(len) + ", beyond the bound " +
+                            std::to_string(max_len));
+    }
+    at.swap(after);
+  }
+  return std::nullopt;
+}
+
 }  // namespace gqc

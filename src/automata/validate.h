@@ -27,6 +27,14 @@ AuditResult ValidateSemiautomaton(const Semiautomaton& a,
 /// CompileRegex output: well-formed automaton with live start/end states.
 AuditResult ValidateCompiledRegex(const CompiledRegex& cr);
 
+/// Every word of the atom (a, s, t) has length <= max_len. Decided from the
+/// sets of states reachable from s in exactly L steps, for L in
+/// (max_len, max_len + |states|]: a longer word exists iff t is in one of
+/// them, since a run past that range repeats a state after max_len and can
+/// be shortened.
+AuditResult ValidateWordLengthBound(const Semiautomaton& a, uint32_t s,
+                                    uint32_t t, std::size_t max_len);
+
 }  // namespace gqc
 
 #endif  // GQC_AUTOMATA_VALIDATE_H_

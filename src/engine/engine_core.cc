@@ -363,10 +363,17 @@ std::size_t EngineCore::WarmStart(const SnapshotKeys& keys) {
   for (const std::string& schema_text : keys.schemas) {
     if (!LookupSchemaContext(schema_text, /*warm=*/true).hit) ++loaded;
   }
+  // Each context is built under a live miss's step and memory budget (a
+  // snapshot has no request deadline): a key whose closure build would trip
+  // a request's guard is built and dropped exactly as on a live miss, never
+  // cached with a closure no request could have built.
+  ResourceBudget budget;
+  budget.max_steps = options_.containment.resources.max_steps;
+  budget.max_memory_bytes = options_.containment.resources.max_memory_bytes;
   for (const auto& [schema_text, q_text] : keys.queries) {
-    if (!LookupQueryContext(schema_text, q_text, /*guard=*/nullptr,
-                            /*warm=*/true)
-             .hit) {
+    ResourceGuard guard(budget);
+    if (!LookupQueryContext(schema_text, q_text, &guard, /*warm=*/true).hit &&
+        !guard.exhausted()) {
       ++loaded;
     }
   }

@@ -182,9 +182,12 @@ class EngineCore {
   SnapshotKeys ExportSnapshotKeys() const;
 
   /// Rebuilds contexts for the given keys (values recomputed from scratch —
-  /// a snapshot carries no values, so warm-start cannot alter verdicts) and
-  /// marks them warm. Returns the number of contexts loaded; already-present
-  /// contexts are left untouched and not counted.
+  /// a snapshot carries no values) and marks them warm. Each query context
+  /// is built under the step and memory budget of
+  /// options().containment.resources, and one whose build trips it is
+  /// dropped as on a live miss, so warm-start cannot alter verdicts. Returns
+  /// the number of contexts loaded; already-present and dropped contexts are
+  /// not counted.
   std::size_t WarmStart(const SnapshotKeys& keys);
 
   /// Total threads the core decides pairs with.

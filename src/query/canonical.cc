@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 
+#include "src/automata/validate.h"
 #include "src/query/eval.h"
 #include "src/util/invariant.h"
 
@@ -31,56 +32,82 @@ class UnionFind {
 
 }  // namespace
 
-namespace {
-
-/// Distinct runs can spell the same word; canonical databases are per word.
-void DedupWords(std::vector<std::vector<Symbol>>* words) {
-  std::sort(words->begin(), words->end());
-  words->erase(std::unique(words->begin(), words->end()), words->end());
-}
-
-}  // namespace
-
 std::vector<std::vector<Symbol>> AtomWords(const Semiautomaton& a, uint32_t s,
                                            uint32_t t, bool allow_empty,
                                            std::size_t max_len, bool* complete) {
   std::vector<std::vector<Symbol>> words;
   if (allow_empty || s == t) words.push_back({});
   *complete = true;
+  // Only states that can still reach t ("live") can continue a word.
+  const std::vector<bool> live = a.CoReachableStates(t);
+  if (!live[s]) return words;
 
-  // BFS over (state, word) up to max_len; bounded by the total output.
-  struct Item {
-    uint32_t state;
-    std::vector<Symbol> word;
+  // The distinct prefixes of one length, in lexicographic order: prefix i
+  // spells spelled[i * len, (i + 1) * len) and reaches exactly the live
+  // states states[ends[i - 1], ends[i]) (sorted, ends[-1] = 0).
+  struct Level {
+    std::vector<Symbol> spelled;
+    std::vector<uint32_t> states;
+    std::vector<std::size_t> ends;
   };
-  constexpr std::size_t kFrontierCap = 100000;
-  std::vector<Item> frontier{{s, {}}};
-  for (std::size_t len = 1; len <= max_len + 1; ++len) {
-    std::vector<Item> next;
-    for (const Item& item : frontier) {
-      for (const auto& [sym, q2] : a.Out(item.state)) {
-        Item ext{q2, item.word};
-        ext.word.push_back(sym);
-        if (q2 == t) {
-          if (len > max_len) {
-            *complete = false;  // longer word exists beyond the cut-off
-            DedupWords(&words);
-            return words;
-          }
-          words.push_back(ext.word);
-        }
-        next.push_back(std::move(ext));
-        if (next.size() > kFrontierCap) {
-          *complete = false;
-          DedupWords(&words);
-          return words;
+  Level level{{}, {s}, {1}};
+  Level next;
+  constexpr std::size_t kPrefixCap = 100000;
+  std::size_t prefixes = 1;
+  std::vector<std::pair<Symbol, uint32_t>> steps;
+  for (std::size_t len = 0; len < max_len && !level.ends.empty(); ++len) {
+    next.spelled.clear();
+    next.states.clear();
+    next.ends.clear();
+    const std::size_t kept = words.size();
+    for (std::size_t i = 0, begin = 0; i < level.ends.size() && *complete;
+         ++i) {
+      steps.clear();
+      for (std::size_t k = begin; k < level.ends[i]; ++k) {
+        for (const auto& step : a.Out(level.states[k])) {
+          if (live[step.second]) steps.push_back(step);
         }
       }
+      std::sort(steps.begin(), steps.end());
+      steps.erase(std::unique(steps.begin(), steps.end()), steps.end());
+      // One extension per symbol: prefix i followed by that symbol.
+      for (std::size_t k = 0; k < steps.size();) {
+        if (++prefixes > kPrefixCap) {
+          // Work cap: keep every word shorter than this level.
+          words.resize(kept);
+          *complete = false;
+          break;
+        }
+        const Symbol sym = steps[k].first;
+        next.spelled.insert(next.spelled.end(),
+                            level.spelled.begin() + i * len,
+                            level.spelled.begin() + (i + 1) * len);
+        next.spelled.push_back(sym);
+        bool accepts = false;
+        for (; k < steps.size() && steps[k].first == sym; ++k) {
+          next.states.push_back(steps[k].second);
+          accepts = accepts || steps[k].second == t;
+        }
+        next.ends.push_back(next.states.size());
+        if (accepts) words.emplace_back(next.spelled.end() - (len + 1),
+                                        next.spelled.end());
+      }
+      begin = level.ends[i];
     }
-    frontier = std::move(next);
-    if (frontier.empty()) break;
+    if (!*complete) break;
+    std::swap(level, next);
   }
-  DedupWords(&words);
+  // A longer word exists iff some prefix of length max_len reaches a live
+  // state with a transition to a live state. (Short of the cap, the walk
+  // stops before max_len only when no longer prefix exists.)
+  if (*complete) {
+    for (uint32_t q : level.states) {
+      for (const auto& step : a.Out(q)) {
+        if (live[step.second]) *complete = false;
+      }
+    }
+  }
+  std::sort(words.begin(), words.end());
   return words;
 }
 
@@ -95,6 +122,12 @@ ExpansionSet CanonicalExpansions(const Crpq& q, const ExpansionOptions& options)
     atom_words.push_back(AtomWords(q.Automaton(), atom.start, atom.end,
                                    atom.allow_empty, options.max_word_length,
                                    &complete));
+    // `exhaustive` rests on this flag: re-check it with an exact-length
+    // reachability sweep that shares no code with the walk.
+    if (complete) {
+      GQC_AUDIT(ValidateWordLengthBound(q.Automaton(), atom.start, atom.end,
+                                        options.max_word_length));
+    }
     if (!complete) result.exhaustive = false;
     if (atom_words.back().empty()) {
       // Unsatisfiable atom: no expansions at all.

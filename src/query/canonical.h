@@ -37,8 +37,9 @@ struct ExpansionOptions {
 
 struct ExpansionSet {
   std::vector<Expansion> expansions;
-  /// True if every word of every atom's language was covered (no star was
-  /// truncated and the cap was not hit), making the set exhaustive.
+  /// True if every word of every atom's language was covered (no atom has a
+  /// word longer than max_word_length and no cap was hit), making the set
+  /// exhaustive.
   bool exhaustive = false;
   /// Candidates built, kept or not: one guard step each.
   std::size_t candidates = 0;
@@ -75,8 +76,12 @@ ExpansionPrefix GuardedExpansions(const Crpq& p, const ExpansionOptions& options
                                   const ExpansionSet* shared, ExpansionSet* own);
 
 /// Enumerates the words of length <= max_len in the language of the atom
-/// (a, s, t), as symbol sequences; sets *complete to false if longer words
-/// exist. The empty word is included iff allow_empty or s == t.
+/// (a, s, t), as symbol sequences, sorted and duplicate-free. The empty word
+/// is included iff allow_empty or s == t. The walk visits each distinct
+/// prefix once, with the set of states it reaches that can still reach t.
+/// *complete is false iff the language has a longer word or the walk stopped
+/// at its cap of 100 000 prefixes; a capped walk keeps every word shorter
+/// than the length it was extending to.
 std::vector<std::vector<Symbol>> AtomWords(const Semiautomaton& a, uint32_t s,
                                            uint32_t t, bool allow_empty,
                                            std::size_t max_len, bool* complete);

@@ -104,6 +104,26 @@ TEST_F(AuditTest, OutOfAlphabetTransitionTripsValidator) {
   EXPECT_NE(violation->find("alphabet"), std::string::npos) << *violation;
 }
 
+TEST_F(AuditTest, WordPastTheBoundTripsWordLengthValidator) {
+  // (r.r)* has no word of length 5 but has r^6: a bound of 4 is wrong even
+  // though the next length is empty. A plain r.r.r.r has nothing past 4.
+  auto star = ParseRegex("(r.r)*", &vocab_);
+  auto word = ParseRegex("r.r.r.r", &vocab_);
+  ASSERT_TRUE(star.ok() && word.ok());
+  CompiledRegex periodic = CompileRegex(star.value());
+  CompiledRegex finite = CompileRegex(word.value());
+  auto violation = ValidateWordLengthBound(periodic.automaton, periodic.start,
+                                           periodic.end, 4);
+  ASSERT_TRUE(violation.has_value());
+  EXPECT_NE(violation->find("length 6"), std::string::npos) << *violation;
+  EXPECT_FALSE(
+      ValidateWordLengthBound(finite.automaton, finite.start, finite.end, 4)
+          .has_value());
+  EXPECT_TRUE(
+      ValidateWordLengthBound(finite.automaton, finite.start, finite.end, 3)
+          .has_value());
+}
+
 TEST_F(AuditTest, UninternedSymbolTripsVocabularyValidator) {
   Semiautomaton a;
   uint32_t s0 = a.AddState();

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
 #include "src/core/containment.h"
+#include "src/core/decide.h"
+#include "src/core/validate.h"
 #include "src/dl/concept_parser.h"
 #include "src/dl/model_check.h"
 #include "src/dl/normalize.h"
+#include "src/engine/engine.h"
 #include "src/query/eval.h"
 #include "src/query/parser.h"
 #include "src/schema/pg_schema.h"
@@ -282,6 +285,56 @@ TEST_F(ContainmentTest, DecideEquivalenceTBoxOverloadAgreesWithNormalTBox) {
     EXPECT_EQ(from_tbox.attr.note, from_normal.attr.note);
     EXPECT_EQ(from_tbox.countermodel.has_value(),
               from_normal.countermodel.has_value());
+  }
+}
+
+// Each P below has words longer than the expansions' max_word_length (4) but
+// none of length 5, and a path spelling one of them (the 7-node path of a
+// six-letter word) satisfies P and not Q. So none is contained. Sequential
+// mode has no strategy that reaches that far and must not answer
+// `contained`; the portfolio's deep witness search finds the path.
+TEST_F(ContainmentTest, WordsPastTheExpansionBoundAreNeverContained) {
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"(r.r.r.r.r.r)(x, y)", "B(x)"},
+      {"A(x), ((r.r)*)(x, y), B(y)", "A(x), (eps + r.r + r.r.r.r)(x, y), B(y)"},
+      {"A(x), ((r.r.r)*)(x, y), B(y)", "A(x), (eps + r.r.r)(x, y), B(y)"},
+      {"A(x), ((r.s)*)(x, y), B(y)",
+       "A(x), (eps + r.s + r.s.r.s)(x, y), B(y)"},
+  };
+  EngineOptions portfolio;
+  portfolio.threads = 2;
+  portfolio.portfolio = true;
+  Engine engine(portfolio);
+  ThreadPool pool(2);
+  TBox empty;
+  NormalTBox normal = Normalize(empty, &vocab_);
+  for (const auto& [p_text, q_text] : cases) {
+    SCOPED_TRACE(p_text + " vs " + q_text);
+    Ucrpq p = U(p_text);
+    Ucrpq q = U(q_text);
+    ContainmentChecker checker(&vocab_);
+    EXPECT_NE(checker.Decide(p, q, empty).verdict, Verdict::kContained);
+
+    BatchOutcome raced = engine.DecideOne({"case", "", p_text, q_text});
+    ASSERT_TRUE(raced.ok) << raced.error;
+    EXPECT_EQ(raced.verdict, Verdict::kNotContained);
+    EXPECT_GT(raced.countermodel_nodes, 0u);
+
+    // The same race on the caller's vocabulary hands back the countermodel.
+    StrategyContext ctx;
+    ctx.q = &q;
+    ctx.schema = &normal;
+    ctx.vocab = &vocab_;
+    ctx.options = &checker.options();
+    ctx.vocab_shared = true;
+    DecisionPolicy race;
+    race.race = true;
+    race.pool = &pool;
+    ContainmentResult result = DecideUnion(p, ctx, race);
+    ASSERT_EQ(result.verdict, Verdict::kNotContained);
+    ASSERT_TRUE(result.countermodel.has_value());
+    EXPECT_EQ(ValidateCountermodel(*result.countermodel, p, q, normal),
+              std::nullopt);
   }
 }
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -364,6 +365,51 @@ TEST(SnapshotTest, WarmStartRoundTripThroughDisk) {
   ExpectSameOutcomes(expected, cold);
 
   std::remove(path.c_str());
+}
+
+/// OutcomeToJson lines without the wall-clock field.
+std::vector<std::string> OutcomeLines(const std::vector<BatchOutcome>& outcomes) {
+  std::vector<std::string> lines;
+  for (BatchOutcome o : outcomes) {
+    o.wall_ms = 0;
+    lines.push_back(OutcomeToJson(o));
+  }
+  return lines;
+}
+
+TEST(SnapshotTest, WarmStartUnderAStepBudgetMatchesAColdEngine) {
+  // Under 2 000 steps the Tp closures for the first two Qs trip a request's
+  // guard, so a cold engine decides their pairs without the reduction; an
+  // engine with a larger budget builds, and exports, those closures in full.
+  const std::string schema = "A and B <= bottom\nA <= B\nA <= exists s.A\n";
+  const std::vector<BatchItem> items = {
+      {"trips", schema, "A(x), ((r + r)*)(x, y), r(y, z), B(z)",
+       "r(y, z), B(z)"},
+      {"trips-too", schema, "B(x), r(x, y), A(y), ((s + s)*)(y, z)",
+       "A(x), s(x, y), s(y, z)"},
+      {"fits", "", "A(x), r(x, y)", "r(x, y)"},
+  };
+  EngineCore::SnapshotKeys keys;
+  for (const BatchItem& item : items) {
+    keys.schemas.push_back(item.schema_text);
+    keys.queries.emplace_back(item.schema_text, item.q_text);
+  }
+  std::sort(keys.schemas.begin(), keys.schemas.end());
+  keys.schemas.erase(std::unique(keys.schemas.begin(), keys.schemas.end()),
+                     keys.schemas.end());
+
+  EngineOptions opts;
+  opts.containment.resources.max_steps = 2000;
+  Engine cold(opts);
+  const std::vector<std::string> expected =
+      OutcomeLines(cold.DecideBatch(items));
+
+  // Both schemas and the context that fits load; the two that trip are
+  // built and dropped, as on a live miss.
+  Engine warm(opts);
+  EXPECT_EQ(warm.core().WarmStart(keys), 3u);
+  EXPECT_EQ(OutcomeLines(warm.DecideBatch(items)), expected);
+  EXPECT_GT(warm.stats().warmstart_hits.load(), 0u);
 }
 
 TEST(SnapshotTest, FailedSaveKeepsThePreviousSnapshot) {

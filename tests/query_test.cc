@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+
 #include "src/automata/regex_parser.h"
+#include "src/automata/semiautomaton.h"
+#include "src/automata/validate.h"
 #include "src/graph/generators.h"
 #include "src/graph/homomorphism.h"
 #include "src/query/canonical.h"
@@ -223,6 +228,147 @@ TEST_F(QueryTest, QueryContainmentUnionOnRight) {
   Ucrpq q = U("a(x, y) ; b(x, y)");
   EXPECT_EQ(QueryContainment(p, q).verdict, Verdict::kContained);
   EXPECT_EQ(QueryContainment(q, p).verdict, Verdict::kNotContained);
+}
+
+// A star whose words all have even length, and a six-letter concatenation,
+// have no word of length max_word_length + 1 = 5 but do have longer ones, so
+// their expansions up to length 4 are not exhaustive and the classical test
+// cannot certify containment from them.
+TEST_F(QueryTest, ClassicalTestSeesWordsPastTheNextLength) {
+  ExpansionOptions opts;
+  opts.max_word_length = 4;
+  EXPECT_FALSE(CanonicalExpansions(Q("(r.r.r.r.r.r)(x, y)"), opts).exhaustive);
+  EXPECT_FALSE(CanonicalExpansions(Q("((r.r)*)(x, y)"), opts).exhaustive);
+  EXPECT_TRUE(CanonicalExpansions(Q("(r.r.r.r)(x, y)"), opts).exhaustive);
+  EXPECT_TRUE(CanonicalExpansions(Q("(eps + r.r + r.r.r.r)(x, y)"), opts)
+                  .exhaustive);
+
+  QueryContainmentOptions qopts;
+  qopts.expansion = opts;
+  EXPECT_NE(QueryContainment(U("(r.r.r.r.r.r)(x, y)"), U("B(x)"), qopts).verdict,
+            Verdict::kContained);
+  EXPECT_NE(QueryContainment(U("A(x), ((r.r)*)(x, y), B(y)"),
+                             U("A(x), (eps + r.r + r.r.r.r)(x, y), B(y)"), qopts)
+                .verdict,
+            Verdict::kContained);
+}
+
+/// AtomWords' contract computed the slow way: the NFA simulated on every word
+/// over the automaton's alphabet up to max_len, and completeness from the sets
+/// of states reachable in exactly L steps, L in (max_len, max_len + |states|].
+struct ReferenceWords {
+  std::vector<std::vector<Symbol>> words;
+  bool complete = true;
+};
+
+ReferenceWords BruteForceWords(const CompiledRegex& c, std::size_t max_len) {
+  const Semiautomaton& a = c.automaton;
+  const std::size_t n = a.StateCount();
+  const std::vector<Symbol> alphabet = a.Alphabet();
+  ReferenceWords ref;
+  if (c.nullable || c.start == c.end) ref.words.push_back({});
+  for (std::size_t len = 1; len <= max_len && !alphabet.empty(); ++len) {
+    std::vector<std::size_t> digits(len, 0);
+    while (true) {
+      std::vector<char> at(n, 0);
+      at[c.start] = 1;
+      std::vector<Symbol> word;
+      for (std::size_t d : digits) {
+        std::vector<char> after(n, 0);
+        for (uint32_t q = 0; q < n; ++q) {
+          if (!at[q]) continue;
+          for (const auto& [sym, r] : a.Out(q)) {
+            if (sym == alphabet[d]) after[r] = 1;
+          }
+        }
+        at.swap(after);
+        word.push_back(alphabet[d]);
+      }
+      if (at[c.end]) ref.words.push_back(word);
+      std::size_t i = 0;
+      while (i < len && ++digits[i] == alphabet.size()) digits[i++] = 0;
+      if (i == len) break;
+    }
+  }
+  std::sort(ref.words.begin(), ref.words.end());
+  std::vector<char> at(n, 0);
+  at[c.start] = 1;
+  for (std::size_t len = 1; len <= max_len + n; ++len) {
+    std::vector<char> after(n, 0);
+    for (uint32_t q = 0; q < n; ++q) {
+      if (!at[q]) continue;
+      for (const auto& [sym, r] : a.Out(q)) after[r] = 1;
+    }
+    at.swap(after);
+    if (len > max_len && at[c.end]) ref.complete = false;
+  }
+  return ref;
+}
+
+/// Random regexes over a, b, a-, [A], [!A]: periodic stars, unions, nested
+/// stars and plus.
+std::string RandomRegex(std::mt19937* rng, int depth) {
+  static const char* const kLeaves[] = {"a", "b", "a-", "[A]", "[!A]", "eps"};
+  static const char* const kPeriodic[] = {"(a.b)*", "(a.a.a)*", "(b.a-)*",
+                                          "(a.[A].b)*", "(a.b.b)^+"};
+  const int kind = depth == 0 ? 0 : static_cast<int>((*rng)() % 7);
+  auto sub = [&] { return RandomRegex(rng, depth - 1); };
+  switch (kind) {
+    case 0:
+      return kLeaves[(*rng)() % 6];
+    case 1:
+      return "(" + sub() + " . " + sub() + ")";
+    case 2:
+      return "(" + sub() + " + " + sub() + ")";
+    case 3:
+      return "(" + sub() + ")*";
+    case 4:
+      return kPeriodic[(*rng)() % 5];
+    case 5:
+      return "((" + sub() + ")* . " + sub() + ")*";
+    default:
+      return "(" + sub() + ")^+";
+  }
+}
+
+TEST_F(QueryTest, AtomWordsMatchBruteForceReference) {
+  std::mt19937 rng(20241);
+  for (int round = 0; round < 100; ++round) {
+    const std::string text = RandomRegex(&rng, 1 + round % 4);
+    auto regex = ParseRegex(text, &vocab_);
+    ASSERT_TRUE(regex.ok()) << text << ": " << regex.error();
+    const CompiledRegex c = CompileRegex(regex.value());
+    for (std::size_t max_len = 0; max_len <= 6; ++max_len) {
+      SCOPED_TRACE(text + " up to length " + std::to_string(max_len));
+      const ReferenceWords ref = BruteForceWords(c, max_len);
+      bool complete = false;
+      EXPECT_EQ(AtomWords(c.automaton, c.start, c.end, c.nullable, max_len,
+                          &complete),
+                ref.words);
+      EXPECT_EQ(complete, ref.complete);
+      // The exhaustiveness audit agrees with the reference.
+      EXPECT_EQ(ValidateWordLengthBound(c.automaton, c.start, c.end, max_len)
+                    .has_value(),
+                !ref.complete);
+    }
+  }
+}
+
+TEST_F(QueryTest, AtomWordsCapKeepsEveryShorterWord) {
+  // Eight letters starred: 37 449 prefixes up to length 5, and the 262 144
+  // of length 6 cross the 100 000-prefix cap.
+  auto regex = ParseRegex("(r1 + r2 + r3 + r4 + r5 + r6 + r7 + r8)*", &vocab_);
+  ASSERT_TRUE(regex.ok()) << regex.error();
+  const CompiledRegex c = CompileRegex(regex.value());
+  bool complete = true;
+  auto words = AtomWords(c.automaton, c.start, c.end, c.nullable, 6, &complete);
+  EXPECT_FALSE(complete);
+  EXPECT_EQ(words.size(), 37449u);
+  EXPECT_TRUE(std::all_of(words.begin(), words.end(),
+                          [](const auto& w) { return w.size() <= 5; }));
+  EXPECT_EQ(AtomWords(c.automaton, c.start, c.end, c.nullable, 5, &complete),
+            words);
+  EXPECT_FALSE(complete);
 }
 
 }  // namespace

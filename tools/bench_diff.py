@@ -5,7 +5,8 @@ Usage:
   tools/bench_diff.py BASELINE.json FRESH.json [--threshold 1.10] [--min-ns 1000]
 
 Prints a per-benchmark table of real_time deltas (fresh / baseline; ratios
-below 1.0 are speedups) and exits nonzero if any benchmark regressed past the
+below 1.0 are speedups; a row run with repetitions counts as the median of
+its repetitions) and exits nonzero if any benchmark regressed past the
 threshold. Benchmarks present on only one side are reported but do not fail
 the run (suites grow and shrink across PRs).
 
@@ -17,6 +18,7 @@ single-digit-percent deltas as noise unless reproduced.
 
 import argparse
 import json
+import statistics
 import sys
 
 
@@ -27,17 +29,22 @@ def load(path):
     except (OSError, json.JSONDecodeError) as e:
         sys.exit(f"bench_diff: cannot read {path}: {e}")
     ctx = doc.get("context", {})
-    rows = {}
+    times = {}
+    units = {}
     for b in doc.get("benchmarks", []):
         if b.get("run_type") == "aggregate":
             continue  # compare raw iterations, not mean/median/stddev rows
         name = b.get("name")
         if name is None or "real_time" not in b:
             continue
-        rows[name] = {
-            "real_time": float(b["real_time"]),
-            "time_unit": b.get("time_unit", "ns"),
-        }
+        times.setdefault(name, []).append(float(b["real_time"]))
+        units[name] = b.get("time_unit", "ns")
+    # --benchmark_repetitions=N repeats each row under one name: compare the
+    # median of its repetitions.
+    rows = {
+        name: {"real_time": statistics.median(t), "time_unit": units[name]}
+        for name, t in times.items()
+    }
     return ctx, rows
 
 
