@@ -24,8 +24,8 @@
 // wrong definite verdict.
 //
 // Strategy scheduling: --portfolio races the applicable decision strategies
-// per disjunct (first definite verdict wins, losers are cancelled, facts are
-// shared); --strategies=a,b,c restricts/reorders the strategy list (known:
+// per disjunct (first definite verdict wins, losers are cancelled);
+// --strategies=a,b,c restricts/reorders the strategy list (known:
 // screen, direct, witness, reduction) in either mode. The winning strategy
 // is reported in each outcome's "strategy" field.
 

@@ -5,7 +5,6 @@
 #include <optional>
 #include <utility>
 
-#include "src/util/fingerprint.h"
 #include "src/util/invariant.h"
 #include "src/util/sync.h"
 
@@ -55,28 +54,6 @@ ContainmentResult Combine(std::vector<ContainmentResult> per_disjunct) {
     }
   }
   return combined;
-}
-
-/// A fact on the board that decides the disjunct without running any
-/// strategy: its memoized definite verdict, or a shared countermodel
-/// (G ⊨ T, G ⊭ Q in this scope) that matches p.
-std::optional<ContainmentResult> FromBoard(const StrategyContext& ctx,
-                                           const DecisionPolicy& policy,
-                                           const FpKey& disjunct_key) {
-  std::optional<ContainmentResult> memo =
-      policy.board->LookupResult(disjunct_key, ctx.stats);
-  if (memo.has_value()) return memo;
-  std::optional<Graph> shared =
-      policy.board->FindRefutation(policy.scope_key, *ctx.p, ctx.stats);
-  if (!shared.has_value()) return std::nullopt;
-  ContainmentResult r;
-  r.verdict = Verdict::kNotContained;
-  r.attr.strategy = "fact-board";
-  r.attr.note = "refuted by a countermodel shared on the fact board";
-  r.countermodel = std::move(shared);
-  policy.board->PublishResult(disjunct_key, r, policy.shared_concept_limit,
-                              policy.shared_role_limit, ctx.stats);
-  return r;
 }
 
 /// Final kUnknown when no strategy answered: attribute the most informative
@@ -130,20 +107,6 @@ ContainmentResult DecideDisjunct(const StrategyContext& caller_ctx,
   ctx.expansions = &expansions;
   PipelineStats* stats = ctx.stats;
   if (stats) stats->disjuncts_total.fetch_add(1, std::memory_order_relaxed);
-
-  // 0. Fact board: a fact that decides this disjunct answers without running
-  //    any strategy.
-  const bool facts = policy.board != nullptr && !policy.scope_key.empty();
-  FpKey disjunct_key;
-  if (facts) {
-    disjunct_key = FpKey(
-        JoinKeyParts(policy.scope_key.text(), ctx.p->ToString(*ctx.vocab)));
-    std::optional<ContainmentResult> fact = FromBoard(ctx, policy, disjunct_key);
-    if (fact.has_value()) {
-      RecordRefutation(stats, *fact);
-      return std::move(*fact);
-    }
-  }
 
   const std::vector<const Strategy*>& listed =
       !ctx.options->strategies.empty() ? ctx.options->strategies
@@ -246,19 +209,6 @@ ContainmentResult DecideDisjunct(const StrategyContext& caller_ctx,
   ContainmentResult r = std::move(results[*winner]);
   r.attr.strategy = ran[*winner]->name();
   RecordRefutation(stats, r);
-
-  // 4. Publish facts: the verdict memo, plus any verified countermodel that
-  //    fits the shared (schema, Q) vocabulary layer — sibling disjuncts and
-  //    later pairs in the same scope can be refuted by a single Matches().
-  if (facts) {
-    if (r.countermodel.has_value()) {
-      policy.board->PublishCountermodel(policy.scope_key, *r.countermodel,
-                                        policy.shared_concept_limit,
-                                        policy.shared_role_limit, stats);
-    }
-    policy.board->PublishResult(disjunct_key, r, policy.shared_concept_limit,
-                                policy.shared_role_limit, stats);
-  }
   return r;
 }
 

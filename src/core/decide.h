@@ -3,7 +3,6 @@
 
 #include <chrono>
 
-#include "src/core/factboard.h"
 #include "src/core/strategy.h"
 #include "src/util/thread_pool.h"
 
@@ -35,16 +34,6 @@ struct DecisionPolicy {
   bool has_deadline = false;
   std::chrono::steady_clock::time_point deadline{};
 
-  /// Optional fact exchange (src/core/factboard.h): countermodels shared
-  /// under `scope_key`, the (schema, Q) vocabulary layer whose symbol counts
-  /// are the `shared_*_limit`s, and a definite-verdict memo per disjunct
-  /// keyed by (scope_key, disjunct text). A null board or an empty scope
-  /// disables both.
-  SharedFactBoard* board = nullptr;
-  FpKey scope_key;
-  std::size_t shared_concept_limit = 0;
-  std::size_t shared_role_limit = 0;
-
   /// Pins `budget.deadline_ms` (if set) relative to `start`, keeping the
   /// tighter of it and an already pinned deadline.
   void PinDeadline(std::chrono::steady_clock::time_point start);
@@ -64,7 +53,7 @@ struct DecisionPolicy {
 /// Strategy contract.
 ///
 /// Records disjunct, per-strategy win/cancelled/inconclusive, guard and
-/// countermodel tallies and fact-board traffic into ctx.stats.
+/// countermodel tallies into ctx.stats.
 [[nodiscard]] ContainmentResult DecideDisjunct(const StrategyContext& ctx,
                                                const DecisionPolicy& policy);
 

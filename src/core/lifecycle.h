@@ -42,7 +42,7 @@ struct CacheBudget {
 
 /// Retain bookkeeping attached to every table entry.
 struct RetainMeta {
-  uint64_t touch = 0;     ///< table tick at the last hit/insert/update
+  uint64_t touch = 0;     ///< table tick at the last hit or insert
   uint64_t cost = 1;      ///< recompute cost (build wall ns, clamped >= 1)
   std::size_t bytes = 0;  ///< resident-size estimate, key text included
 };
@@ -161,28 +161,6 @@ class BoundedTable {
     bytes_ += bytes;
     EnforceBudgetLocked();
     return {std::move(built.value), false};
-  }
-
-  /// In-place update under the lock: `fn(V&)` edits the value under `key`
-  /// (a fresh V{} when absent) and returns the bytes it added, 0 when it
-  /// changed nothing. A change refreshes recency, adds `cost` to the entry's
-  /// retain cost and enforces the budget. Returns whether `fn` changed it.
-  template <typename Fn>
-  bool Update(const FpKey& key, uint64_t cost, Fn&& fn) GQC_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    auto [slot, inserted] = map_.TryEmplace(key);
-    if (inserted) {
-      slot->meta.bytes = key.text().size();
-      bytes_ += slot->meta.bytes;
-    }
-    std::size_t added = fn(slot->value);
-    if (added == 0) return false;
-    slot->meta.touch = ++tick_;
-    slot->meta.cost += cost;
-    slot->meta.bytes += added;
-    bytes_ += added;
-    EnforceBudgetLocked();
-    return true;
   }
 
   /// Bounds the table (0 = unbounded); applies now and to every later insert.

@@ -5,7 +5,6 @@
 #include "src/dl/transforms.h"
 #include "src/entailment/alci_oneway.h"
 #include "src/entailment/alcq_simple.h"
-#include "src/entailment/witness_search.h"
 #include "src/query/eval.h"
 
 namespace gqc {
@@ -139,53 +138,25 @@ ReductionResult ContainmentViaEntailment(const Crpq& p, const Ucrpq& /*q*/,
 
   // Search for the central part H0: ⊨ p, ⊨ T (participation deferred at
   // stubs with Tp types), ⊭ Q̂, seeded from expansions of p and quotients.
-  ExpansionSet own;
-  ExpansionPrefix seeds_from =
-      GuardedExpansions(p, options.countermodel.expansion, expansions, &own);
-  bool exhaustive = seeds_from.exhaustive;
-  bool capped = closure.engine_capped;
-
-  Ucrpq p_union;
-  p_union.AddDisjunct(p);
-
-  // The H0 central-part search bills the shared guard under kReduction.
-  EngineLimits limits = options.countermodel.limits;
-  limits.guard_phase = GuardPhase::kReduction;
-
-  for (const Expansion& exp : seeds_from) {
-    if (GuardExhausted(limits)) {
-      capped = true;
-      break;
-    }
-    std::vector<Graph> seeds =
-        SatisfyingQuotients(exp.graph, p, options.countermodel.max_quotients);
-    if (seeds.size() >= options.countermodel.max_quotients ||
-        exp.graph.NodeCount() > 8) {
-      capped = true;
-    }
-    // lint: bounded(seeds are capped by max_quotients; FindWitness polls the shared guard per step)
-    for (const Graph& seed : seeds) {
-      WitnessProblem problem;
-      problem.space = &h0_space;
-      problem.tbox = &tbox;
-      problem.forbid = &f.q_hat;
-      problem.require = &p_union;
-      problem.seed = &seed;
-      WitnessProblem::Deferral deferral;
-      deferral.allowed_masks = &allowed;
-      deferral.forbid_outgoing = closure.alcq_case;
-      problem.deferral = deferral;
-      WitnessResult w = FindWitness(problem, limits);
-      if (w.answer == EngineAnswer::kYes) {
-        result.countermodel_found = EngineAnswer::kYes;
-        result.central_part = std::move(w.witness);
-        return result;
-      }
-      if (w.answer == EngineAnswer::kUnknown) capped = true;
-    }
+  // The search bills the shared guard under kReduction.
+  WitnessProblem problem;
+  problem.space = &h0_space;
+  problem.tbox = &tbox;
+  problem.forbid = &f.q_hat;
+  WitnessProblem::Deferral deferral;
+  deferral.allowed_masks = &allowed;
+  deferral.forbid_outgoing = closure.alcq_case;
+  problem.deferral = deferral;
+  CountermodelOptions h0 = options.countermodel;
+  h0.limits.guard_phase = GuardPhase::kReduction;
+  CountermodelSearchResult found = SearchSeeds(p, problem, h0, expansions);
+  result.countermodel_found = found.answer;
+  result.central_part = std::move(found.witness);
+  // A capped closure may lack realizable stub types, so finding no H0 then
+  // proves nothing.
+  if (found.answer == EngineAnswer::kNo && closure.engine_capped) {
+    result.countermodel_found = EngineAnswer::kUnknown;
   }
-  result.countermodel_found =
-      (exhaustive && !capped) ? EngineAnswer::kNo : EngineAnswer::kUnknown;
   return result;
 }
 

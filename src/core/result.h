@@ -25,8 +25,8 @@ struct UnknownInfo {
 /// serves both the checker-level ContainmentResult and the batch engine's
 /// BatchOutcome, so the verdict surface cannot drift between the two.
 struct Attribution {
-  /// Name of the winning Strategy (src/core/strategy.h), or "fact-board";
-  /// empty for kUnknown, and when no strategy ran (a P without disjuncts).
+  /// Name of the winning Strategy (src/core/strategy.h); empty for
+  /// kUnknown, and when no strategy ran (a P without disjuncts).
   std::string strategy;
   /// How the winner answered (e.g. "holds classically (schema-free)"), or
   /// why the decision gave up.

@@ -4,7 +4,6 @@
 #include <numeric>
 
 #include "src/core/validate.h"
-#include "src/entailment/witness_search.h"
 #include "src/query/eval.h"
 #include "src/util/invariant.h"
 
@@ -66,27 +65,17 @@ std::vector<Graph> SatisfyingQuotients(const Graph& g, const Crpq& p,
   return out;
 }
 
-CountermodelSearchResult FindCountermodel(const Crpq& p, const Ucrpq& q,
-                                          const NormalTBox& tbox,
-                                          const CountermodelOptions& options,
-                                          const ExpansionSet* expansions) {
-  CountermodelSearchResult result;
+CountermodelSearchResult SearchSeeds(const Crpq& p, WitnessProblem problem,
+                                     const CountermodelOptions& options,
+                                     const ExpansionSet* expansions) {
   ExpansionSet own;
   ExpansionPrefix seeds_from =
       GuardedExpansions(p, options.expansion, expansions, &own);
-  bool exhaustive = seeds_from.exhaustive;
-
   Ucrpq p_union;
   p_union.AddDisjunct(p);
+  problem.require = &p_union;
 
-  // Support: T, p, q concepts.
-  std::vector<uint32_t> ids = tbox.ConceptIds();
-  // lint: bounded(mentioned concepts of q, linear in query size)
-  for (uint32_t id : q.MentionedConcepts()) ids.push_back(id);
-  // lint: bounded(mentioned concepts of p, linear in query size)
-  for (uint32_t id : p.MentionedConcepts()) ids.push_back(id);
-  TypeSpace space{std::move(ids)};
-
+  CountermodelSearchResult result;
   bool capped = false;
   for (const Expansion& exp : seeds_from) {
     if (GuardExhausted(options.limits)) {
@@ -100,29 +89,45 @@ CountermodelSearchResult FindCountermodel(const Crpq& p, const Ucrpq& q,
     }
     // lint: bounded(seeds are capped by max_quotients; FindWitness polls the shared guard per step)
     for (const Graph& seed : seeds) {
-      WitnessProblem problem;
-      problem.space = &space;
-      problem.tbox = &tbox;
-      problem.forbid = &q;
-      problem.require = &p_union;
       problem.seed = &seed;
       WitnessResult w = FindWitness(problem, options.limits);
       if (w.answer == EngineAnswer::kYes) {
         result.answer = EngineAnswer::kYes;
         result.witness = std::move(w.witness);
-        // The witness search claims G ⊨ T, G ⊨ p, G ⊭ q; re-check through
-        // the independent model checker / evaluator before the claim
-        // propagates into a kNotContained verdict.
-        if (result.witness.has_value()) {
-          GQC_AUDIT(ValidateCountermodel(*result.witness, p, q, tbox));
-        }
         return result;
       }
       if (w.answer == EngineAnswer::kUnknown) capped = true;
     }
   }
-  result.answer =
-      (exhaustive && !capped) ? EngineAnswer::kNo : EngineAnswer::kUnknown;
+  result.answer = (seeds_from.exhaustive && !capped) ? EngineAnswer::kNo
+                                                     : EngineAnswer::kUnknown;
+  return result;
+}
+
+CountermodelSearchResult FindCountermodel(const Crpq& p, const Ucrpq& q,
+                                          const NormalTBox& tbox,
+                                          const CountermodelOptions& options,
+                                          const ExpansionSet* expansions) {
+  // Support: T, p, q concepts.
+  std::vector<uint32_t> ids = tbox.ConceptIds();
+  // lint: bounded(mentioned concepts of q, linear in query size)
+  for (uint32_t id : q.MentionedConcepts()) ids.push_back(id);
+  // lint: bounded(mentioned concepts of p, linear in query size)
+  for (uint32_t id : p.MentionedConcepts()) ids.push_back(id);
+  TypeSpace space{std::move(ids)};
+
+  WitnessProblem problem;
+  problem.space = &space;
+  problem.tbox = &tbox;
+  problem.forbid = &q;
+  CountermodelSearchResult result =
+      SearchSeeds(p, problem, options, expansions);
+  // The witness search claims G ⊨ T, G ⊨ p, G ⊭ q; re-check through the
+  // independent model checker / evaluator before the claim propagates into a
+  // kNotContained verdict.
+  if (result.witness.has_value()) {
+    GQC_AUDIT(ValidateCountermodel(*result.witness, p, q, tbox));
+  }
   return result;
 }
 

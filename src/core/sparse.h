@@ -4,6 +4,7 @@
 #include "src/core/result.h"
 #include "src/dl/tbox.h"
 #include "src/entailment/common.h"
+#include "src/entailment/witness_search.h"
 #include "src/query/canonical.h"
 #include "src/query/ucrpq.h"
 
@@ -43,6 +44,18 @@ CountermodelSearchResult FindCountermodel(const Crpq& p, const Ucrpq& q,
                                           const NormalTBox& tbox,
                                           const CountermodelOptions& options,
                                           const ExpansionSet* expansions = nullptr);
+
+/// The seed loop behind FindCountermodel and the reduction's H0 search: runs
+/// FindWitness on `problem` under options.limits from every seed — each of
+/// p's canonical expansions in order, then its node-merging quotients — up
+/// to the first witness (`problem.require` and `problem.seed` are set here).
+/// kNo is exact only when the expansions were exhaustive and nothing was
+/// capped: no guard trip, no expansion too large to quotient, no full
+/// quotient cap and no inconclusive search; kUnknown otherwise.
+/// `expansions` as in FindCountermodel.
+CountermodelSearchResult SearchSeeds(const Crpq& p, WitnessProblem problem,
+                                     const CountermodelOptions& options,
+                                     const ExpansionSet* expansions);
 
 /// Enumerates node-merging quotients of `g` that still satisfy `p` with the
 /// merged variable assignment; includes `g` itself. Bounded by `max_out`.

@@ -68,8 +68,7 @@ void PipelineStats::Reset() {
         &warmstart_rejected, &requests_shed, &countermodel_count,
         &countermodel_nodes_total, &countermodel_nodes_max, &guards_total,
         &budget_deadline, &budget_steps, &budget_memory, &budget_cancelled,
-        &pairs_preempted, &portfolio_races, &facts_published,
-        &facts_consumed}) {
+        &pairs_preempted, &portfolio_races}) {
     a->store(0, std::memory_order_relaxed);
   }
   for (auto* arr : {&strategy_wins, &strategy_cancelled,
@@ -127,11 +126,6 @@ std::string PipelineStats::ToJson() const {
     w.EndObject();
   }
   w.Key("portfolio_races").UInt(V(portfolio_races));
-  w.EndObject();
-
-  w.Key("fact_board").BeginObject();
-  w.Key("published").UInt(V(facts_published));
-  w.Key("consumed").UInt(V(facts_consumed));
   w.EndObject();
 
   w.Key("phases_ms").BeginObject();

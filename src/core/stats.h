@@ -61,10 +61,6 @@ struct PipelineStats {
   std::array<std::atomic<uint64_t>, kStrategyCount> strategy_inconclusive{};
   std::atomic<uint64_t> portfolio_races{0};  // disjuncts decided by racing
 
-  // --- shared fact board (src/core/factboard.h) ---
-  std::atomic<uint64_t> facts_published{0};  // countermodels/verdicts exported
-  std::atomic<uint64_t> facts_consumed{0};   // decisions short-cut by a fact
-
   // --- cache effectiveness ---
   std::atomic<uint64_t> normal_tbox_hits{0};
   std::atomic<uint64_t> normal_tbox_misses{0};

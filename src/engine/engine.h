@@ -29,8 +29,9 @@ namespace gqc {
 /// the same batch agree bit for bit).
 ///
 /// The engine's PipelineStats aggregates per-phase wall times, cache hit
-/// rates, verdict/method tallies, and countermodel sizes across the batch;
-/// StatsJson() exports the snapshot (schema documented in DESIGN.md).
+/// rates, verdict tallies, per-strategy attribution, and countermodel sizes
+/// across the batch; StatsJson() exports the snapshot (schema documented in
+/// DESIGN.md).
 class Engine {
  public:
   explicit Engine(EngineOptions options = {});

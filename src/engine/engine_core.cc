@@ -94,15 +94,12 @@ EngineCore::SchemaTable::Lookup EngineCore::LookupSchemaContext(
   return got;
 }
 
-std::shared_ptr<const EngineCore::SchemaContext> EngineCore::GetSchemaContext(
-    const std::string& schema_text) {
-  return LookupSchemaContext(schema_text, /*warm=*/false).value;
-}
-
 std::shared_ptr<const EngineCore::QueryContext> EngineCore::BuildQueryContext(
     const std::string& schema_text, const std::string& q_text,
     ResourceGuard* guard, bool warm) {
-  auto schema_ctx = GetSchemaContext(schema_text);
+  // The schema is looked up the way the query context is: a warm-start
+  // build counts no live hit or miss.
+  auto schema_ctx = LookupSchemaContext(schema_text, warm).value;
   auto ctx = std::make_shared<QueryContext>();
   ctx->warm = warm;
   ctx->schema = schema_ctx;
@@ -131,7 +128,7 @@ std::shared_ptr<const EngineCore::QueryContext> EngineCore::BuildQueryContext(
       ropts.factorize = options_.containment.factorize;
       ropts.factorize.guard = guard;
       ropts.stats = &stats_;
-      stats_.closure_misses.fetch_add(1, std::memory_order_relaxed);
+      if (!warm) stats_.closure_misses.fetch_add(1, std::memory_order_relaxed);
       auto closure = ComputeTpClosure(ctx->q, tbox, !tbox.UsesInverse(),
                                       &ctx->vocab, ropts);
       // On failure the closure stays null and the reduction does not run for
@@ -184,12 +181,6 @@ EngineCore::QueryTable::Lookup EngineCore::LookupQueryContext(
   return got;
 }
 
-std::shared_ptr<const EngineCore::QueryContext> EngineCore::GetQueryContext(
-    const std::string& schema_text, const std::string& q_text,
-    ResourceGuard* guard) {
-  return LookupQueryContext(schema_text, q_text, guard, /*warm=*/false).value;
-}
-
 BatchOutcome EngineCore::DecidePair(const BatchItem& item,
                                     const BatchControl& control) {
   auto start = std::chrono::steady_clock::now();
@@ -232,7 +223,9 @@ BatchOutcome EngineCore::DecidePair(const BatchItem& item,
   ResourceGuard setup_guard(policy.budget, policy.has_deadline,
                             policy.deadline);
   std::shared_ptr<const QueryContext> qctx =
-      GetQueryContext(item.schema_text, item.q_text, &setup_guard);
+      LookupQueryContext(item.schema_text, item.q_text, &setup_guard,
+                         /*warm=*/false)
+          .value;
   if (setup_guard.exhausted()) stats_.RecordGuard(setup_guard);
   if (!qctx->error.empty()) {
     out.error = qctx->error;
@@ -268,12 +261,6 @@ BatchOutcome EngineCore::DecidePair(const BatchItem& item,
   ctx.vocab_shared = true;
   policy.race = options_.portfolio;
   policy.pool = &pool_;
-  if (options_.portfolio) {
-    policy.board = &facts_;
-    policy.scope_key = FpKey(JoinKeyParts(item.schema_text, item.q_text));
-    policy.shared_concept_limit = qctx->vocab.concept_count();
-    policy.shared_role_limit = qctx->vocab.role_count();
-  }
   ContainmentResult combined = DecideUnion(p.value(), ctx, policy);
   out.ok = true;
   out.verdict = combined.verdict;
@@ -319,14 +306,13 @@ void EngineCore::CancelAll() {
 
 void EngineCore::SetCacheBudget(const CacheBudget& budget) {
   regex_cache_.SetBudget(budget);
-  facts_.SetBudget(budget);
   compile_memo_.SetBudget(budget);
   schema_ctxs_.SetBudget(budget);
   query_ctxs_.SetBudget(budget);
 }
 
 std::size_t EngineCore::Evict(double pressure) {
-  std::size_t freed = regex_cache_.Evict(pressure) + facts_.Evict(pressure) +
+  std::size_t freed = regex_cache_.Evict(pressure) +
                       compile_memo_.Evict(pressure) +
                       schema_ctxs_.Evict(pressure).entries +
                       query_ctxs_.Evict(pressure).entries;
@@ -335,9 +321,8 @@ std::size_t EngineCore::Evict(double pressure) {
 }
 
 std::size_t EngineCore::retained_bytes() const {
-  return regex_cache_.retained_bytes() + facts_.retained_bytes() +
-         compile_memo_.retained_bytes() + schema_ctxs_.retained_bytes() +
-         query_ctxs_.retained_bytes();
+  return regex_cache_.retained_bytes() + compile_memo_.retained_bytes() +
+         schema_ctxs_.retained_bytes() + query_ctxs_.retained_bytes();
 }
 
 EngineCore::SnapshotKeys EngineCore::ExportSnapshotKeys() const {
@@ -399,7 +384,6 @@ void EngineCore::ResetState() {
   schema_ctxs_.Clear();
   query_ctxs_.Clear();
   regex_cache_.Clear();
-  facts_.Clear();
   compile_memo_.Clear();
   stats_.Reset();
 }

@@ -10,7 +10,6 @@
 
 #include "src/automata/compile_cache.h"
 #include "src/core/containment.h"
-#include "src/core/factboard.h"
 #include "src/core/lifecycle.h"
 #include "src/entailment/compile_memo.h"
 #include "src/util/sync.h"
@@ -29,12 +28,12 @@ struct EngineOptions {
   /// mode and the racing pool in portfolio mode.
   ContainmentOptions containment;
   /// Portfolio mode: decide each disjunct by racing the applicable
-  /// strategies on the pool (first definite verdict cancels the rest) with
-  /// fact sharing through the engine's SharedFactBoard, instead of running
-  /// them in sequential priority order. Definite verdicts are identical to
-  /// sequential mode wherever sequential mode reaches one (each racer gets
-  /// a fresh per-strategy budget, so the portfolio can only answer more);
-  /// wall-clock and Unknown attributions differ.
+  /// strategies on the pool (first definite verdict cancels the rest)
+  /// instead of running them in sequential priority order. Definite
+  /// verdicts are identical to sequential mode wherever sequential mode
+  /// reaches one (each racer gets a fresh per-strategy budget, so the
+  /// portfolio can only answer more); wall-clock and Unknown attributions
+  /// differ.
   bool portfolio = false;
   /// Wall-clock deadline for one whole DecideBatch call (0 = none). Pinned
   /// when the batch starts; pairs reaching the front of the queue after it
@@ -85,15 +84,14 @@ struct BatchOutcome {
 ///     when the §3 reduction applies to (T, Q) — the Tp(T, Q̂) closure)
 ///   - a regex -> semiautomaton compile cache shared across all parses
 ///   - a compile memo for the per-solve word-mask compilations
-///   - the portfolio fact board
 ///
-/// Lifecycle (DESIGN.md §12): each of the seven tables above (two context
-/// tables, the regex cache, two fact-board tables, two compile-memo tables)
-/// is a BoundedTable — bounded by SetCacheBudget, evictable via
-/// Evict(pressure), and measurable via retained_bytes(). Context keys can be
-/// exported (ExportSnapshotKeys) and re-imported (WarmStart) to persist cache
-/// warmth across process restarts; only *keys* are persisted — values are
-/// recomputed on load, so a snapshot can never alter a verdict.
+/// Lifecycle (DESIGN.md §12): each of the five tables above (two context
+/// tables, the regex cache, two compile-memo tables) is a BoundedTable —
+/// bounded by SetCacheBudget, evictable via Evict(pressure), and measurable
+/// via retained_bytes(). Context keys can be exported (ExportSnapshotKeys)
+/// and re-imported (WarmStart) to persist cache warmth across process
+/// restarts; only *keys* are persisted — values are recomputed on load, so a
+/// snapshot can never alter a verdict.
 class EngineCore {
  public:
   explicit EngineCore(EngineOptions options = {});
@@ -150,18 +148,9 @@ class EngineCore {
   /// controls started after the call are unaffected. Safe from any thread.
   void CancelAll() GQC_EXCLUDES(cancel_mu_);
 
-  std::shared_ptr<const SchemaContext> GetSchemaContext(
-      const std::string& schema_text);
-  /// `guard` (optional) governs the closure build on a context miss; a
-  /// context whose closure build tripped the guard reflects that caller's
-  /// budget, not (schema, Q), and is returned uncached.
-  std::shared_ptr<const QueryContext> GetQueryContext(
-      const std::string& schema_text, const std::string& q_text,
-      ResourceGuard* guard);
-
-  /// Bounds every memoized table (context tables, regex cache, fact board,
-  /// compile memo) — the budget applies to each table separately, not to
-  /// their sum. 0 = unbounded.
+  /// Bounds every memoized table (context tables, regex cache, compile
+  /// memo) — the budget applies to each table separately, not to their
+  /// sum. 0 = unbounded.
   void SetCacheBudget(const CacheBudget& budget);
 
   /// Drops ceil(size * pressure) lowest retain-score entries from every
@@ -213,7 +202,10 @@ class EngineCore {
 
   /// The lookup-or-build path shared by live requests and warm-start. Live
   /// lookups (warm = false) count context hits and misses; warm-start
-  /// lookups count nothing here (WarmStart tallies what it loads).
+  /// lookups count nothing here (WarmStart tallies what it loads). `guard`
+  /// (optional) governs the closure build on a query-context miss; a context
+  /// whose closure build tripped it reflects that caller's budget, not
+  /// (schema, Q), and is returned uncached.
   SchemaTable::Lookup LookupSchemaContext(const std::string& schema_text,
                                           bool warm);
   QueryTable::Lookup LookupQueryContext(const std::string& schema_text,
@@ -230,9 +222,6 @@ class EngineCore {
   PipelineStats stats_;
   ThreadPool pool_;
   RegexCompileCache regex_cache_{&stats_};
-  /// Portfolio-mode fact exchange: countermodels and definite verdicts
-  /// shared across strategies, disjuncts, and pairs (cleared by ResetState).
-  SharedFactBoard facts_{&stats_};
   /// Per-solve compiled-artifact memo, wired into every downstream search
   /// through EngineLimits (unless the caller supplied their own).
   CompiledScopeMemo compile_memo_{&stats_};

@@ -13,8 +13,7 @@
 ///   ContainmentChecker               P ⊑_T Q for one vocabulary
 ///   Strategy / DecideUnion           pluggable deciders, the one strategy
 ///                                    runner and disjunct loop for both
-///                                    modes (strategy.h, decide.h,
-///                                    factboard.h)
+///                                    modes (strategy.h, decide.h)
 ///   Engine / BatchItem / ...         parallel batch service with shared
 ///                                    caches and pipeline metrics
 ///   FiniteEntails                    G, T ⊨fin Q
@@ -32,7 +31,6 @@
 
 #include "src/core/containment.h"
 #include "src/core/decide.h"
-#include "src/core/factboard.h"
 #include "src/core/strategy.h"
 #include "src/dl/concept_parser.h"
 #include "src/dl/normalize.h"

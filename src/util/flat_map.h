@@ -27,7 +27,7 @@ namespace gqc {
 /// Erase uses backward-shift deletion (no tombstones), so probe chains never
 /// degrade under churn. Requirements: Key and Value default-constructible and
 /// move-assignable. NOT thread-safe — callers guard with their own Mutex
-/// (ContainmentCaches, SharedFactBoard, RegexCompileCache all do).
+/// (BoundedTable and SessionRegistry do).
 
 inline uint64_t SplitMix64(uint64_t x) {
   x += 0x9e3779b97f4a7c15ull;

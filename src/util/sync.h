@@ -86,7 +86,6 @@ inline constexpr uint32_t kLockRankPoolWake = 300;       // ThreadPool::wake_mu_
 inline constexpr uint32_t kLockRankPoolQueue = 400;      // per-worker deques
 inline constexpr uint32_t kLockRankNormalizeCache = 500; // ContainmentCaches
 inline constexpr uint32_t kLockRankRegexCache = 510;     // RegexCompileCache
-inline constexpr uint32_t kLockRankFactBoard = 520;      // SharedFactBoard
 inline constexpr uint32_t kLockRankCompileMemo = 530;    // CompiledScopeMemo
 inline constexpr uint32_t kLockRankRaceWinner = 600;     // portfolio winner
 inline constexpr uint32_t kLockRankDecisionExpansions = 650;  // P's expansions

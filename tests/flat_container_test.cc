@@ -24,7 +24,6 @@
 #include "src/automata/compile_cache.h"
 #include "src/automata/regex_parser.h"
 #include "src/core/caches.h"
-#include "src/core/factboard.h"
 #include "src/core/lifecycle.h"
 #include "src/dl/concept_parser.h"
 #include "src/dl/types.h"
@@ -344,46 +343,6 @@ TEST(FlatContainerTest, RegexCacheStress) {
   }
   for (std::thread& t : threads) t.join();
   EXPECT_LE(cache.size(), regexes.size());
-}
-
-TEST(FlatContainerTest, FactBoardStress) {
-  SharedFactBoard board;
-  Vocabulary vocab;
-  uint32_t a = vocab.ConceptId("A");
-  auto p = ParseCrpq("A(x)", &vocab);
-  ASSERT_TRUE(p.ok());
-  Graph g;
-  NodeId n = g.AddNode();
-  g.AddLabel(n, a);
-  constexpr int kThreads = 8;
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      ContainmentResult definite;
-      definite.verdict = Verdict::kNotContained;
-      for (int i = 0; i < 200; ++i) {
-        FpKey scope("scope-" + std::to_string((t + i) % 4));
-        FpKey disjunct(scope.text() + "/d-" + std::to_string(i % 2));
-        (void)board.PublishCountermodel(scope, g, /*concept_limit=*/8,
-                                        /*role_limit=*/8, nullptr);
-        std::optional<Graph> refutation =
-            board.FindRefutation(scope, p.value(), nullptr);
-        if (refutation.has_value()) {
-          EXPECT_EQ(refutation->NodeCount(), 1u);
-        }
-        board.PublishResult(disjunct, definite, 8, 8, nullptr);
-        std::optional<ContainmentResult> memo =
-            board.LookupResult(disjunct, nullptr);
-        if (memo.has_value()) {
-          EXPECT_EQ(memo->verdict, Verdict::kNotContained);
-        }
-        (void)board.countermodel_count();
-        if (i % 64 == 63 && t == 0) board.Clear();
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
 }
 
 TEST(FlatContainerTest, ContainmentCachesStress) {

@@ -1,12 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/automata/compile_cache.h"
@@ -65,16 +67,19 @@ TEST(LifecycleTest, OverBudgetDropCountTargetsSlack) {
 TEST(LifecycleTest, EvictLowestScoreDropsColdCheapFirstDeterministically) {
   PipelineStats stats;
   BoundedTable<int> table(kLockRankLeaf, "test-table", &stats);
-  auto put = [&](const std::string& key, uint64_t cost, int value) {
-    EXPECT_TRUE(table.Update(FpKey(key), cost, [&](int& v) -> std::size_t {
-      v = value;
-      return 100;
-    }));
+  // An entry's retain cost is its build's wall time: the expensive builds
+  // sleep, the cheap ones return at once.
+  auto put = [&](const std::string& key, bool expensive, int value) {
+    auto got = table.GetOrBuild(FpKey(key), [&] {
+      if (expensive) std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      return Built{value, std::size_t{100}};
+    });
+    EXPECT_FALSE(got.hit);
   };
-  put("cold-cheap", 10, 1);
-  put("cold-expensive", 100000, 2);
-  put("hot-cheap", 10, 3);
-  put("hot-expensive", 100000, 4);
+  put("cold-cheap", false, 1);
+  put("cold-expensive", true, 2);
+  put("hot-cheap", false, 3);
+  put("hot-expensive", true, 4);
   // Probes age the cold entries by ~100 ticks and keep the hot ones fresh.
   for (int i = 0; i < 50; ++i) {
     EXPECT_EQ(table.Find(FpKey("hot-cheap")), 3);
@@ -119,7 +124,7 @@ TEST(LifecycleTest, RetainedBytesStaysExactUnderRandomOperations) {
   std::mt19937 rng(20240517);
   auto key_of = [&] { return FpKey("k" + std::to_string(rng() % 24)); };
   for (int step = 0; step < 4000; ++step) {
-    switch (rng() % 8) {
+    switch (rng() % 7) {
       case 0:
       case 1:
       case 2: {  // insert (or hit)
@@ -144,18 +149,10 @@ TEST(LifecycleTest, RetainedBytesStaysExactUnderRandomOperations) {
         }
         break;
       }
-      case 4: {  // in-place update, sometimes a no-op
-        std::size_t grow = rng() % 3;
-        table.Update(key_of(), 1, [&](std::string& value) {
-          value.append(grow, 'u');
-          return grow;
-        });
-        break;
-      }
-      case 5:
+      case 4:
         table.SetBudget(CacheBudget{rng() % 12, (rng() % 2) * (rng() % 400)});
         break;
-      case 6:
+      case 5:
         table.Evict(static_cast<double>(rng() % 5) / 4.0);
         break;
       default:
@@ -272,9 +269,9 @@ TEST(LifecycleTest, ByteBudgetBoundsRetainedBytes) {
   engine.core().SetCacheBudget(CacheBudget{0, kBudget});
   (void)engine.DecideBatch(items);
   // Each table is individually bounded by kBudget; the eviction slack (7/8)
-  // keeps steady state under the bound per table. The engine has seven
-  // tables: schema and query contexts, the regex cache, the fact board's
-  // countermodels and verdict memos, and the compile memo's two.
+  // keeps steady state under the bound per table. The engine has five
+  // tables: schema and query contexts, the regex cache, and the compile
+  // memo's two.
   EXPECT_LT(engine.core().retained_bytes(), 8 * kBudget);
 
   std::size_t before = engine.core().retained_bytes();
@@ -405,9 +402,18 @@ TEST(SnapshotTest, WarmStartUnderAStepBudgetMatchesAColdEngine) {
       OutcomeLines(cold.DecideBatch(items));
 
   // Both schemas and the context that fits load; the two that trip are
-  // built and dropped, as on a live miss.
+  // built and dropped, as on a live miss. Warm-start is not live traffic:
+  // before any request, no context counter and no warm-start hit moves.
   Engine warm(opts);
   EXPECT_EQ(warm.core().WarmStart(keys), 3u);
+  const PipelineStats& stats = warm.stats();
+  EXPECT_EQ(stats.schema_ctx_hits.load(), 0u);
+  EXPECT_EQ(stats.schema_ctx_misses.load(), 0u);
+  EXPECT_EQ(stats.query_ctx_hits.load(), 0u);
+  EXPECT_EQ(stats.query_ctx_misses.load(), 0u);
+  EXPECT_EQ(stats.closure_hits.load(), 0u);
+  EXPECT_EQ(stats.closure_misses.load(), 0u);
+  EXPECT_EQ(stats.warmstart_hits.load(), 0u);
   EXPECT_EQ(OutcomeLines(warm.DecideBatch(items)), expected);
   EXPECT_GT(warm.stats().warmstart_hits.load(), 0u);
 }

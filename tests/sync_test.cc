@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "src/core/caches.h"
-#include "src/core/factboard.h"
 #include "src/dl/concept_parser.h"
 #include "src/engine/engine.h"
 #include "src/query/parser.h"
@@ -123,7 +122,8 @@ TEST(SyncTest, LockOrderCheckAcquireDetectsInversion) {
   EXPECT_FALSE(
       CheckAcquire(holding_queue, kLockRankLeaf, "leaf-2").has_value());
   EXPECT_TRUE(
-      CheckAcquire(holding_leaf, kLockRankFactBoard, "fact-board").has_value());
+      CheckAcquire(holding_leaf, kLockRankCompileMemo, "compile-memo")
+          .has_value());
 }
 
 TEST(SyncTest, LockOrderAuditTracksHeldLocks) {
@@ -264,14 +264,11 @@ TEST(SyncTest, ThreadPoolSubmitWakesIdleWorkers) {
 
 // ------------------------------------------------- shared-state stress
 
-// Eight threads hammer the shared engine state the portfolio runner leans
-// on — SharedFactBoard publish/lookup across a handful of scopes plus the
-// normalized-TBox cache (each thread owns a structurally identical
-// Vocabulary, so cache keys and symbol ids coincide by construction) with
-// occasional Clear() storms. Assertions are interleaving-independent; TSan
-// checks the locking.
+// Eight threads hammer the normalized-TBox cache (each thread owns a
+// structurally identical Vocabulary, so cache keys and symbol ids coincide
+// by construction) with occasional Clear() storms. Assertions are
+// interleaving-independent; TSan checks the locking.
 TEST(SyncTest, SharedStateStressEightThreads) {
-  SharedFactBoard board;
   ContainmentCaches caches;
   constexpr int kThreads = 8;
   constexpr int kIters = 200;
@@ -282,58 +279,21 @@ TEST(SyncTest, SharedStateStressEightThreads) {
     threads.emplace_back([&, t] {
       // Thread-private vocabulary with thread-independent ids.
       Vocabulary vocab;
-      uint32_t a = vocab.ConceptId("A");
-      uint32_t r = vocab.RoleId("r");
       auto tbox = ParseTBox("A <= exists r.A\n", &vocab);
       ASSERT_TRUE(tbox.ok());
-      auto p_hit = ParseCrpq("A(x), r(x, y)", &vocab);
-      ASSERT_TRUE(p_hit.ok());
-
-      Graph g;
-      NodeId v0 = g.AddNode();
-      NodeId v1 = g.AddNode();
-      g.AddLabel(v0, a);
-      g.AddEdge(v0, r, v1);
-
-      ContainmentResult definite;
-      definite.verdict = Verdict::kNotContained;
-      definite.attr.strategy = "direct";
 
       PipelineStats stats;
       for (int i = 0; i < kIters; ++i) {
-        FpKey scope("scope-" + std::to_string(i % 4));
-        (void)board.PublishCountermodel(scope, g, /*concept_limit=*/1,
-                                        /*role_limit=*/1, &stats);
-        std::optional<Graph> refutation =
-            board.FindRefutation(scope, p_hit.value(), &stats);
-        if (refutation.has_value()) {
-          // Any witness handed out must actually be a copy of a published
-          // countermodel (two nodes here), never a half-written graph.
-          EXPECT_EQ(refutation->NodeCount(), 2u);
-        }
-        FpKey key(scope.text() + "/disjunct-" + std::to_string(t % 2));
-        board.PublishResult(key, definite, 1, 1, &stats);
-        std::optional<ContainmentResult> memo = board.LookupResult(key, &stats);
-        if (memo.has_value()) {
-          EXPECT_EQ(memo->verdict, Verdict::kNotContained);
-        }
-
         std::shared_ptr<const NormalTBox> normal =
             caches.GetNormalized(tbox.value(), &vocab, &stats);
         ASSERT_NE(normal, nullptr);
-
-        if (i % 64 == 63) {
-          if (t % 2 == 0) board.Clear();
-          if (t % 4 == 1) caches.Clear();
-        }
+        if (i % 64 == 63 && t % 4 == 1) caches.Clear();
       }
     });
   }
   for (std::thread& t : threads) t.join();
 
-  // Quiescent sanity: the counters are readable and the board still works.
-  (void)board.countermodel_count();
-  (void)board.result_count();
+  // Quiescent sanity: the cache is still readable.
   (void)caches.normalized_count();
 }
 

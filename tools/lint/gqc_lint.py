@@ -125,7 +125,6 @@ HOT_PATH_FILE_PATTERNS = [
     # Every cache owner, and the one table they are all built on.
     r"src/core/lifecycle\.h$",
     r"src/core/caches\.(?:h|cc)$",
-    r"src/core/factboard\.(?:h|cc)$",
     r"src/automata/compile_cache\.(?:h|cc)$",
     r"src/engine/engine_core\.(?:h|cc)$",
     # The serving layer sits on every request's path: its session registry

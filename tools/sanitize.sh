@@ -6,15 +6,13 @@
 # worker threads, resource guards (deadlines, step budgets, cancellation
 # tokens) polled concurrently by disjunct-level workers, and the racing
 # strategy portfolio (per-strategy guards cancelled through a shared race
-# token, with the mutex-guarded fact board exchanging countermodels between
-# racers). This script builds the tsan preset and runs every EngineTest.* /
+# token). This script builds the tsan preset and runs every EngineTest.* /
 # ThreadPoolTest.* / BudgetTest.* / PortfolioTest.* / StrategyTest.* /
-# FactBoardTest.* / SyncTest.* / FlatContainerTest.* / AdmissionGateTest.*
-# case under it (SyncTest is the dedicated multi-threaded stress file:
-# sync-primitive contracts, fact-board/cache hammering from 8 threads,
-# CancelAll storms), so data races in the pool, the caches, the guards, the
-# race bookkeeping, the board, the serve admission gate, or the atomic stats
-# counters surface as hard failures.
+# SyncTest.* / FlatContainerTest.* / AdmissionGateTest.* case under it
+# (SyncTest is the dedicated multi-threaded stress file: sync-primitive
+# contracts, cache hammering from 8 threads, CancelAll storms), so data
+# races in the pool, the caches, the guards, the race bookkeeping, the serve
+# admission gate, or the atomic stats counters surface as hard failures.
 #
 # Usage:
 #   tools/sanitize.sh            # TSan over the engine tests (the default)
@@ -32,7 +30,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 preset=tsan
-filter='^(EngineTest|ThreadPoolTest|BudgetTest|PortfolioTest|StrategyTest|FactBoardTest|SyncTest|FlatContainerTest|AdmissionGateTest)\.'
+filter='^(EngineTest|ThreadPoolTest|BudgetTest|PortfolioTest|StrategyTest|SyncTest|FlatContainerTest|AdmissionGateTest)\.'
 for arg in "$@"; do
   case "$arg" in
     --all) filter='.*' ;;
