@@ -54,38 +54,37 @@ std::vector<Symbol> Semiautomaton::Alphabet() const {
   return std::vector<Symbol>(symbols.begin(), symbols.end());
 }
 
-std::vector<bool> Semiautomaton::ReachableStates(uint32_t from) const {
-  std::vector<bool> seen(StateCount(), false);
-  std::deque<uint32_t> queue{from};
+namespace {
+
+/// The states reached from `from` (inclusive) along `edges(s)`.
+template <typename Edges>
+std::vector<bool> Closure(std::size_t states, uint32_t from, Edges edges) {
+  std::vector<bool> seen(states, false);
+  std::vector<uint32_t> stack{from};
   seen[from] = true;
-  while (!queue.empty()) {
-    uint32_t s = queue.front();
-    queue.pop_front();
-    for (const auto& [sym, t] : Out(s)) {
+  while (!stack.empty()) {
+    const uint32_t s = stack.back();
+    stack.pop_back();
+    for (const auto& [sym, t] : edges(s)) {
       if (!seen[t]) {
         seen[t] = true;
-        queue.push_back(t);
+        stack.push_back(t);
       }
     }
   }
   return seen;
 }
 
+}  // namespace
+
+std::vector<bool> Semiautomaton::ReachableStates(uint32_t from) const {
+  return Closure(StateCount(), from,
+                 [this](uint32_t s) -> const auto& { return Out(s); });
+}
+
 std::vector<bool> Semiautomaton::CoReachableStates(uint32_t to) const {
-  std::vector<bool> seen(StateCount(), false);
-  std::deque<uint32_t> queue{to};
-  seen[to] = true;
-  while (!queue.empty()) {
-    uint32_t s = queue.front();
-    queue.pop_front();
-    for (const auto& [sym, t] : In(s)) {
-      if (!seen[t]) {
-        seen[t] = true;
-        queue.push_back(t);
-      }
-    }
-  }
-  return seen;
+  return Closure(StateCount(), to,
+                 [this](uint32_t s) -> const auto& { return In(s); });
 }
 
 namespace {

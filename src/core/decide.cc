@@ -56,18 +56,39 @@ ContainmentResult Combine(std::vector<ContainmentResult> per_disjunct) {
   return combined;
 }
 
+/// The guard phase a strategy's own search is billed to.
+GuardPhase PhaseOf(StrategyId id) {
+  switch (id) {
+    case StrategyId::kScreen:
+      return GuardPhase::kScreen;
+    case StrategyId::kDirect:
+    case StrategyId::kWitness:
+      return GuardPhase::kDirect;
+    case StrategyId::kReduction:
+      return GuardPhase::kReduction;
+  }
+  return GuardPhase::kSetup;
+}
+
 /// Final kUnknown when no strategy answered: attribute the most informative
 /// guard (a real budget trip beats race-flavoured cancellation noise) and
-/// keep the last substantive strategy note.
+/// keep the last substantive strategy note. Without a trip the phase is
+/// that of the strategy whose note is kept (the last one to run if none
+/// left a note).
 ContainmentResult ComposeUnknown(
     std::vector<ContainmentResult>& results,
-    const std::vector<std::unique_ptr<ResourceGuard>>& guards) {
+    const std::vector<std::unique_ptr<ResourceGuard>>& guards,
+    const std::vector<const Strategy*>& ran) {
   ContainmentResult out;
   out.verdict = Verdict::kUnknown;
   std::string note;
+  const Strategy* noted = ran.empty() ? nullptr : ran.back();
   // lint: bounded(one result per applicable strategy)
-  for (ContainmentResult& r : results) {
-    if (!r.attr.note.empty()) note = std::move(r.attr.note);
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    if (!results[i].attr.note.empty()) {
+      note = std::move(results[i].attr.note);
+      noted = ran[i];
+    }
   }
   const ResourceGuard* attributed = nullptr;
   for (const auto& guard : guards) {
@@ -85,6 +106,9 @@ ContainmentResult ComposeUnknown(
     }
   }
   out.attr.unknown = UnknownFromGuard(attributed);
+  if (attributed == nullptr && noted != nullptr) {
+    out.attr.unknown->phase = GuardPhaseName(PhaseOf(noted->id()));
+  }
   if (attributed != nullptr) {
     out.attr.note = attributed->Describe();
   } else if (!note.empty()) {
@@ -204,7 +228,7 @@ ContainmentResult DecideDisjunct(const StrategyContext& caller_ctx,
       }
     }
   }
-  if (!winner.has_value()) return ComposeUnknown(results, guards);
+  if (!winner.has_value()) return ComposeUnknown(results, guards, ran);
 
   ContainmentResult r = std::move(results[*winner]);
   r.attr.strategy = ran[*winner]->name();

@@ -45,7 +45,8 @@ struct DecisionPolicy {
 /// ones are skipped. An expired deadline or a cancelled token runs no
 /// strategy. The winner is recorded in `Attribution::strategy`; without one
 /// the kUnknown carries the most informative guard trip (a budget trip beats
-/// race cancellation) or the last strategy's note.
+/// race cancellation), or else the last strategy's note with that
+/// strategy's phase and reason "caps".
 ///
 /// Soundness under cancellation: losers unwind to kUnknown at their next
 /// guard poll and are discarded; a definite verdict is only ever taken from

@@ -117,7 +117,8 @@ ContainmentResult RefutedByWitness(const StrategyContext& ctx,
 }
 
 // ---------------------------------------------------------------------------
-// screen: cheap exact screens (trivial match-all + classical containment).
+// screen: cheap exact screens (trivial match-all, a map of Q into P, and
+// classical containment).
 // ---------------------------------------------------------------------------
 
 class ScreenStrategy final : public Strategy {
@@ -145,9 +146,19 @@ ContainmentResult ScreenStrategy::Run(const StrategyContext& ctx,
     result.attr.note = "a disjunct of Q matches every non-empty graph";
     return result;
   }
-  // (b) Classical containment (no schema) implies containment modulo any
-  //     schema; the canonical-database test certifies the CQ-shaped cases.
-  //     It runs unguarded under the default expansion bounds.
+  // (b) Q maps into p, so p ⊑ Q holds classically (no schema) and hence
+  //     modulo any schema. The search charges nothing to the guard: a pair
+  //     it does not certify reaches `direct` with the guard as it found it.
+  if (std::optional<MappingCertificate> cert =
+          MapsInto(*ctx.p, *ctx.q, guard)) {
+    GQC_AUDIT(ValidateMappingCertificate(*ctx.p, *ctx.q, *cert));
+    result.verdict = Verdict::kContained;
+    result.attr.note = "holds classically (schema-free)";
+    return result;
+  }
+  if (guard != nullptr && guard->exhausted()) return Inconclusive();
+  // (c) The canonical-database test certifies the CQ-shaped cases
+  //     classically. It runs unguarded under the default expansion bounds.
   const ExpansionOptions classical_bounds;
   ExpansionSet own;
   const ExpansionSet* expansions = SharedExpansions(ctx, classical_bounds);

@@ -12,7 +12,7 @@ namespace gqc {
 /// first), which is what keeps the sequential mode bit-identical to the
 /// pre-strategy pipeline.
 enum class StrategyId : uint8_t {
-  kScreen = 0,   // cheap exact screens (trivial + classical containment)
+  kScreen = 0,   // cheap exact screens (trivial, mapping, classical)
   kDirect,       // direct bounded countermodel search against the full TBox
   kWitness,      // refutation-only deep witness search (portfolio extra)
   kReduction,    // full §3 reduction -> finite entailment

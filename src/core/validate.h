@@ -6,6 +6,7 @@
 
 #include "src/dl/tbox.h"
 #include "src/graph/graph.h"
+#include "src/query/query_containment.h"
 #include "src/query/ucrpq.h"
 #include "src/util/invariant.h"
 
@@ -29,6 +30,17 @@ AuditResult ValidateCountermodel(const Graph& g, const Crpq& p, const Ucrpq& q,
 /// Same for whole-UCRPQ countermodels (G ⊨ P via some disjunct).
 AuditResult ValidateCountermodel(const Graph& g, const Ucrpq& p,
                                  const Ucrpq& q, const NormalTBox& tbox);
+
+/// Homomorphism-certificate audit before the screen's kContained escapes
+/// (MapsInto, src/query/query_containment.h). Shares no code with the
+/// search that built `cert`; re-checks that
+///   - each unary literal of Q's disjunct sits on the mapped p variable;
+///   - each path is a chain of p atoms from h(y) to h(z);
+///   - every word of each path, up to the canonical-expansion word bound,
+///     is accepted by its Q atom under plain NFA simulation;
+///   - every canonical expansion of p within the default bounds satisfies Q.
+AuditResult ValidateMappingCertificate(const Crpq& p, const Ucrpq& q,
+                                       const MappingCertificate& cert);
 
 }  // namespace gqc
 

@@ -17,6 +17,7 @@
 #include "src/graph/generators.h"
 #include "src/graph/validate.h"
 #include "src/query/parser.h"
+#include "src/query/query_containment.h"
 #include "src/util/fingerprint.h"
 
 namespace gqc {
@@ -313,6 +314,56 @@ TEST_F(AuditTest, StaleCountermodelTrips) {
   EXPECT_TRUE(ValidateCountermodel(g, C("A(x)"), U("A(x)"), empty_tbox).has_value());
   // Claims to witness p but does not match it.
   EXPECT_TRUE(ValidateCountermodel(g, C("B(x)"), U("C(x)"), empty_tbox).has_value());
+}
+
+// ---------------------------------------------------- mapping certificates
+
+// P = A(x), r(x, y), (s*)(y, z), B(z), t(x, z); Q = A(x), (r . s*)(x, z),
+// B(z). Q maps into P by x -> x, z -> z, its atom sent to the path
+// r(x, y), (s*)(y, z).
+class MappingCertificateAuditTest : public AuditTest {
+ protected:
+  void SetUp() override {
+    p_ = C("A(x), r(x, y), (s*)(y, z), B(z), t(x, z)");
+    q_ = U("A(x), (r . s*)(x, z), B(z)");
+    std::optional<MappingCertificate> cert = MapsInto(p_, q_);
+    ASSERT_TRUE(cert.has_value());
+    cert_ = *cert;
+    ASSERT_EQ(cert_.paths.size(), 1u);
+    ASSERT_EQ(cert_.paths[0].size(), 2u);
+  }
+
+  /// The validator's violation, or "" if it passes.
+  std::string Audit() {
+    return ValidateMappingCertificate(p_, q_, cert_).value_or("");
+  }
+
+  Crpq p_;
+  Ucrpq q_;
+  MappingCertificate cert_;
+};
+
+TEST_F(MappingCertificateAuditTest, GenuineCertificatePasses) {
+  EXPECT_EQ(Audit(), "");
+}
+
+TEST_F(MappingCertificateAuditTest, WrongVariableTrips) {
+  // x -> y: y does not carry A.
+  cert_.var_map[0] = 1;
+  EXPECT_NE(Audit().find("literal"), std::string::npos) << Audit();
+}
+
+TEST_F(MappingCertificateAuditTest, DisconnectedPathTrips) {
+  // (s*)(y, z) alone does not start at h(x) = x.
+  cert_.paths[0] = {PathStep{1, false}};
+  EXPECT_NE(Audit().find("not connected"), std::string::npos) << Audit();
+}
+
+TEST_F(MappingCertificateAuditTest, NonIncludedPathTrips) {
+  // t(x, z) connects x to z, but t is not a word of r . s*.
+  cert_.paths[0] = {PathStep{2, false}};
+  EXPECT_NE(Audit().find("not in the Q atom's language"), std::string::npos)
+      << Audit();
 }
 
 }  // namespace

@@ -90,19 +90,19 @@ struct BruteForceAnswer {
   std::optional<Graph> model;
 };
 
-/// Exhaustively enumerates every graph with 1..max_nodes nodes, node labels
-/// drawn from `concepts`, and directed `role_id` edges (self-loops allowed).
-/// Node 0 is pinned to carry type `tau` — sound, since realization is
-/// invariant under node renaming, so every pointed model is isomorphic to
-/// one realizing tau at node 0.
-inline BruteForceAnswer BruteForceRealizable(const Type& tau, const TBox& tbox,
-                                             const Ucrpq& q,
-                                             const std::vector<uint32_t>& concepts,
-                                             uint32_t role_id,
-                                             std::size_t max_nodes) {
+/// Enumerates every graph with 1..max_nodes nodes, node labels drawn from
+/// `concepts` and edges of every role in `roles` (self-loops allowed), and
+/// returns the first for which `found` holds. A labeling `keep_labels`
+/// rejects (called on the edgeless graph) is skipped with all its edge sets.
+/// Uses only the Graph container.
+template <typename KeepLabels, typename Found>
+std::optional<Graph> FirstSmallGraph(const std::vector<uint32_t>& concepts,
+                                     const std::vector<uint32_t>& roles,
+                                     std::size_t max_nodes,
+                                     KeepLabels keep_labels, Found found) {
   for (std::size_t n = 1; n <= max_nodes; ++n) {
     const std::size_t label_masks = std::size_t{1} << concepts.size();
-    const std::size_t edge_slots = n * n;
+    const std::size_t edge_slots = roles.size() * n * n;
     const std::size_t edge_masks = std::size_t{1} << edge_slots;
     std::vector<std::size_t> labeling(n, 0);
     while (true) {
@@ -115,18 +115,17 @@ inline BruteForceAnswer BruteForceRealizable(const Type& tau, const TBox& tbox,
           }
         }
       }
-      if (labels_only.HasType(0, tau)) {
+      if (keep_labels(labels_only)) {
         for (std::size_t em = 0; em < edge_masks; ++em) {
           Graph g = labels_only;
           for (std::size_t slot = 0; slot < edge_slots; ++slot) {
             if (em & (std::size_t{1} << slot)) {
-              g.AddEdge(static_cast<NodeId>(slot / n), role_id,
-                        static_cast<NodeId>(slot % n));
+              const std::size_t pair = slot % (n * n);
+              g.AddEdge(static_cast<NodeId>(pair / n), roles[slot / (n * n)],
+                        static_cast<NodeId>(pair % n));
             }
           }
-          if (!Satisfies(g, tbox)) continue;
-          if (Matches(g, q)) continue;
-          return {true, std::move(g)};
+          if (found(g)) return g;
         }
       }
       // Next labeling (mixed-radix counter over label_masks^n).
@@ -135,7 +134,35 @@ inline BruteForceAnswer BruteForceRealizable(const Type& tau, const TBox& tbox,
       if (v == n) break;
     }
   }
-  return {false, std::nullopt};
+  return std::nullopt;
+}
+
+/// Exhaustively enumerates every graph with 1..max_nodes nodes, node labels
+/// drawn from `concepts`, and directed `role_id` edges (self-loops allowed).
+/// Node 0 is pinned to carry type `tau` — sound, since realization is
+/// invariant under node renaming, so every pointed model is isomorphic to
+/// one realizing tau at node 0.
+inline BruteForceAnswer BruteForceRealizable(const Type& tau, const TBox& tbox,
+                                             const Ucrpq& q,
+                                             const std::vector<uint32_t>& concepts,
+                                             uint32_t role_id,
+                                             std::size_t max_nodes) {
+  std::optional<Graph> model = FirstSmallGraph(
+      concepts, {role_id}, max_nodes,
+      [&](const Graph& labels) { return labels.HasType(0, tau); },
+      [&](const Graph& g) { return Satisfies(g, tbox) && !Matches(g, q); });
+  return {model.has_value(), std::move(model)};
+}
+
+/// A graph of at most `max_nodes` nodes over `concepts` and `roles` that
+/// satisfies P but not Q: a refutation of P ⊑ Q over all finite graphs,
+/// with no schema.
+inline std::optional<Graph> BruteForceRefutation(
+    const Ucrpq& p, const Ucrpq& q, const std::vector<uint32_t>& concepts,
+    const std::vector<uint32_t>& roles, std::size_t max_nodes) {
+  return FirstSmallGraph(
+      concepts, roles, max_nodes, [](const Graph&) { return true; },
+      [&](const Graph& g) { return Matches(g, p) && !Matches(g, q); });
 }
 
 /// Independent validity check for a claimed witness: realizes tau somewhere,

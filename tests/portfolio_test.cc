@@ -241,6 +241,30 @@ TEST(PortfolioTest, DefiniteVerdictsMatchSequentialAtEveryThreadCount) {
   }
 }
 
+/// An unknown that no guard tripped names the phase of the strategy that
+/// gave up (here the reduction, whose Tp computation hits a cap), in both
+/// modes.
+TEST(PortfolioTest, CapsUnknownNamesThePhaseThatGaveUp) {
+  BatchItem item;
+  item.id = "caps";
+  item.schema_text = "A <= exists r.A";
+  item.p_text = "A(x), (r.r.r.r.r.r.r.r.r.r)(x, y)";
+  item.q_text = "B(x)";
+  for (bool portfolio : {false, true}) {
+    SCOPED_TRACE(portfolio ? "portfolio" : "sequential");
+    EngineOptions opts;
+    opts.threads = portfolio ? 2 : 1;
+    opts.portfolio = portfolio;
+    opts.containment.resources.max_steps = 2000;
+    Engine engine(opts);
+    std::vector<BatchOutcome> out = engine.DecideBatch({item});
+    ASSERT_EQ(out.size(), 1u);
+    EXPECT_EQ(out[0].verdict, Verdict::kUnknown);
+    EXPECT_EQ(out[0].attr.unknown_reason(), "caps");
+    EXPECT_EQ(out[0].attr.unknown_phase(), "reduction");
+  }
+}
+
 TEST(PortfolioTest, StatsExposeStrategiesAndNoBoardBlock) {
   std::vector<BatchItem> items = CrossvalItems(100, TestBatchSize(30));
   EngineOptions opts;

@@ -6,9 +6,13 @@ Usage:
 
 Prints a per-benchmark table of real_time deltas (fresh / baseline; ratios
 below 1.0 are speedups; a row run with repetitions counts as the median of
-its repetitions) and exits nonzero if any benchmark regressed past the
-threshold. Benchmarks present on only one side are reported but do not fail
-the run (suites grow and shrink across PRs).
+its repetitions) and exits nonzero if any benchmark regressed. A row
+regressed when its median ratio passes the threshold and, if both sides ran
+it more than once, the fresh repetitions' lower quartile also lies above the
+baseline's upper quartile: a ratio inside the row's own spread is noise.
+Each side's quartiles (q1-q3) are printed beside its median. Benchmarks
+present on only one side are reported but do not fail the run (suites grow
+and shrink across PRs).
 
 A note on noise: real_time on a loaded or frequency-scaled machine can swing
 by tens of percent. The tool surfaces the benchmark library's own context
@@ -39,10 +43,10 @@ def load(path):
             continue
         times.setdefault(name, []).append(float(b["real_time"]))
         units[name] = b.get("time_unit", "ns")
-    # --benchmark_repetitions=N repeats each row under one name: compare the
-    # median of its repetitions.
+    # --benchmark_repetitions=N repeats each row under one name: keep every
+    # repetition, in nanoseconds.
     rows = {
-        name: {"real_time": statistics.median(t), "time_unit": units[name]}
+        name: sorted(x * UNIT_NS.get(units[name], 1.0) for x in t)
         for name, t in times.items()
     }
     return ctx, rows
@@ -51,8 +55,19 @@ def load(path):
 UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 
 
-def to_ns(row):
-    return row["real_time"] * UNIT_NS.get(row["time_unit"], 1.0)
+def quartiles(reps):
+    """(q1, median, q3) of a row's repetitions; all three equal for one."""
+    if len(reps) < 2:
+        return reps[0], reps[0], reps[0]
+    q1, q2, q3 = statistics.quantiles(reps, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def fmt_ns(ns):
+    for unit, scale in (("s", 1e9), ("ms", 1e6), ("us", 1e3)):
+        if ns >= scale:
+            return f"{ns / scale:.3g}{unit}"
+    return f"{ns:.0f}ns"
 
 
 def context_notes(label, ctx):
@@ -77,8 +92,9 @@ def main():
     ap.add_argument("baseline")
     ap.add_argument("fresh")
     ap.add_argument("--threshold", type=float, default=1.10,
-                    help="fail if fresh/baseline real_time exceeds this ratio "
-                         "(default 1.10 = 10%% regression)")
+                    help="fail if fresh/baseline median real_time exceeds this "
+                         "ratio (default 1.10 = 10%% regression) and, with "
+                         "repetitions, the quartile ranges do not overlap")
     ap.add_argument("--min-ns", type=float, default=1000.0,
                     help="ignore benchmarks faster than this in the baseline "
                          "(sub-microsecond timings are dominated by noise)")
@@ -95,23 +111,33 @@ def main():
     only_fresh = sorted(set(fresh) - set(base))
 
     width = max((len(n) for n in shared), default=4)
-    print(f"{'benchmark':<{width}}  {'baseline':>12}  {'fresh':>12}  {'ratio':>7}")
+    print(f"{'benchmark':<{width}}  {'baseline (q1-q3)':>24}  "
+          f"{'fresh (q1-q3)':>24}  {'ratio':>7}")
     regressions = []
     speedups = 0
     for name in shared:
-        b_ns, f_ns = to_ns(base[name]), to_ns(fresh[name])
+        b_q1, b_ns, b_q3 = quartiles(base[name])
+        f_q1, f_ns, f_q3 = quartiles(fresh[name])
+        b_col = f"{fmt_ns(b_ns)} ({fmt_ns(b_q1)}-{fmt_ns(b_q3)})"
+        f_col = f"{fmt_ns(f_ns)} ({fmt_ns(f_q1)}-{fmt_ns(f_q3)})"
         if b_ns < args.min_ns:
-            print(f"{name:<{width}}  {b_ns:>10.0f}ns  {f_ns:>10.0f}ns    skip (below --min-ns)")
+            print(f"{name:<{width}}  {b_col:>24}  {f_col:>24}    skip (below --min-ns)")
             continue
         ratio = f_ns / b_ns if b_ns > 0 else float("inf")
+        # With repetitions on both sides, a slower median counts only when
+        # the two interquartile ranges do not overlap.
+        repeated = len(base[name]) > 1 and len(fresh[name]) > 1
         flag = ""
         if ratio > args.threshold:
-            flag = "  REGRESSION"
-            regressions.append((name, ratio))
+            if not repeated or f_q1 > b_q3:
+                flag = "  REGRESSION"
+                regressions.append((name, ratio))
+            else:
+                flag = "  within spread"
         elif ratio < 1.0 / args.threshold:
             flag = "  improved"
             speedups += 1
-        print(f"{name:<{width}}  {b_ns:>10.0f}ns  {f_ns:>10.0f}ns  {ratio:>7.3f}{flag}")
+        print(f"{name:<{width}}  {b_col:>24}  {f_col:>24}  {ratio:>7.3f}{flag}")
 
     for name in only_base:
         print(f"only in baseline: {name}")
