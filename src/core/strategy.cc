@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "src/core/minimize.h"
+#include "src/core/saturate.h"
 #include "src/core/validate.h"
 #include "src/graph/validate.h"
 #include "src/util/invariant.h"
@@ -58,13 +59,19 @@ void RecordRefutation(PipelineStats* stats, const ContainmentResult& r) {
 
 namespace {
 
-/// True if the disjunct matches every graph with at least one node: no unary
-/// atoms and every binary atom admits the empty word (e.g. pure reachability
-/// queries like (r+s)*(x, y)).
-bool MatchesAnyNonEmptyGraph(const Crpq& d) {
-  if (!d.UnaryAtoms().empty() || d.VarCount() == 0) return false;
-  return std::all_of(d.BinaryAtoms().begin(), d.BinaryAtoms().end(),
-                     [](const BinaryAtom& a) { return a.allow_empty; });
+/// True if some literal of Q's mapped disjunct sits on its image only in
+/// the saturation of p, not in p itself.
+bool NeedsSaturation(const Crpq& p, const Ucrpq& q,
+                     const MappingCertificate& cert) {
+  const Crpq& d = q.Disjuncts()[cert.disjunct];
+  return std::any_of(
+      d.UnaryAtoms().begin(), d.UnaryAtoms().end(), [&](const UnaryAtom& u) {
+        return std::none_of(p.UnaryAtoms().begin(), p.UnaryAtoms().end(),
+                            [&](const UnaryAtom& w) {
+                              return w.var == cert.var_map[u.var] &&
+                                     w.literal == u.literal;
+                            });
+      });
 }
 
 /// Inconclusive sentinel: kUnknown with an optional note for the runner.
@@ -117,8 +124,8 @@ ContainmentResult RefutedByWitness(const StrategyContext& ctx,
 }
 
 // ---------------------------------------------------------------------------
-// screen: cheap exact screens (trivial match-all, a map of Q into P, and
-// classical containment).
+// screen: cheap exact screens (p saturated under the schema: a clash, or a
+// map of Q into it; and classical containment).
 // ---------------------------------------------------------------------------
 
 class ScreenStrategy final : public Strategy {
@@ -137,23 +144,29 @@ ContainmentResult ScreenStrategy::Run(const StrategyContext& ctx,
   }
   PhaseTimer timer(ctx.stats ? &ctx.stats->screen_ns : nullptr);
   ContainmentResult result;
-  // (a) Some disjunct of Q matches every non-empty graph, and any match of p
-  //     requires a node.
-  if (ctx.p->VarCount() > 0 &&
-      std::any_of(ctx.q->Disjuncts().begin(), ctx.q->Disjuncts().end(),
-                  MatchesAnyNonEmptyGraph)) {
+  // (a) Close p's literals under the schema. Every match of p in a model of
+  //     the schema carries them, so a clash means p has no match there and
+  //     p ⊑ Q holds vacuously. Like the mapping search, the closure charges
+  //     nothing to the guard: a pair neither certifies reaches `direct`
+  //     with the guard as it found it.
+  const Saturation saturation = SaturateUnderSchema(*ctx.p, *ctx.schema, guard);
+  if (saturation.certificate.clash) {
+    GQC_AUDIT(ValidateSaturationCertificate(*ctx.p, *ctx.schema, saturation));
     result.verdict = Verdict::kContained;
-    result.attr.note = "a disjunct of Q matches every non-empty graph";
+    result.attr.note = "p is unsatisfiable modulo the schema";
     return result;
   }
-  // (b) Q maps into p, so p ⊑ Q holds classically (no schema) and hence
-  //     modulo any schema. The search charges nothing to the guard: a pair
-  //     it does not certify reaches `direct` with the guard as it found it.
+  // (b) Q maps into the saturated p, so every match of p in a model of the
+  //     schema composes with the map into a match of Q. When the map needs
+  //     no derived literal, p ⊑ Q holds classically (no schema).
   if (std::optional<MappingCertificate> cert =
-          MapsInto(*ctx.p, *ctx.q, guard)) {
-    GQC_AUDIT(ValidateMappingCertificate(*ctx.p, *ctx.q, *cert));
+          MapsInto(saturation.saturated, *ctx.q, guard)) {
+    GQC_AUDIT(ValidateSaturationCertificate(*ctx.p, *ctx.schema, saturation));
+    GQC_AUDIT(ValidateMappingCertificate(saturation.saturated, *ctx.q, *cert));
     result.verdict = Verdict::kContained;
-    result.attr.note = "holds classically (schema-free)";
+    result.attr.note = NeedsSaturation(*ctx.p, *ctx.q, *cert)
+                           ? "Q maps into p saturated under the schema"
+                           : "holds classically (schema-free)";
     return result;
   }
   if (guard != nullptr && guard->exhausted()) return Inconclusive();

@@ -73,8 +73,8 @@ struct StrategyContext {
 /// against (T, Q), run by DecideDisjunct (src/core/decide.h). The four
 /// registered strategies:
 ///
-///   screen     cheap exact screens (trivial match-all, Q maps into P,
-///              classical)
+///   screen     cheap exact screens (P saturated under the schema clashes,
+///              Q maps into the saturated P, classical)
 ///   direct     direct bounded countermodel search against the full TBox
 ///   witness    refutation-only deep witness search (portfolio extra)
 ///   reduction  full §3 reduction -> finite entailment

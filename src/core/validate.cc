@@ -1,6 +1,7 @@
 #include "src/core/validate.h"
 
 #include <algorithm>
+#include <set>
 #include <string>
 
 #include "src/dl/model_check.h"
@@ -50,6 +51,206 @@ bool ForEachConcatenation(const std::vector<std::vector<std::vector<Symbol>>>& s
     if (!go_on) return false;
   }
   return true;
+}
+
+/// The literal codes known on one node while a derivation is replayed.
+using KnownLiterals = std::set<uint32_t>;
+
+bool Knows(const KnownLiterals& known, Literal l) {
+  return known.count(l.code()) > 0;
+}
+
+bool KnowsAll(const KnownLiterals& known, const std::vector<Literal>& ls) {
+  return std::all_of(ls.begin(), ls.end(),
+                     [&](Literal l) { return Knows(known, l); });
+}
+
+/// A three-state automaton over single letters, for the language shapes
+/// the ∀ rules rely on. State 0 has read nothing, state 1 accepts, and
+/// state 2 rejects for good.
+struct ShapeAutomaton {
+  enum class Kind { kOneLetter, kEndsWith, kStartsWith };
+  Kind kind;
+  Symbol letter;
+
+  uint8_t Next(uint8_t state, Symbol sym) const {
+    const bool hit = sym == letter;
+    switch (kind) {
+      case Kind::kOneLetter:
+        return state == 0 && hit ? 1 : 2;
+      case Kind::kEndsWith:
+        return hit ? 1 : 0;
+      case Kind::kStartsWith:
+        return state == 0 ? (hit ? 1 : 2) : state;
+    }
+    return 2;
+  }
+  static bool Accepts(uint8_t state) { return state == 1; }
+};
+
+/// Every word of P atom `atom` is in the shape's language: the atom is not
+/// nullable (no shape accepts the empty word), and no pair (automaton
+/// state, shape state) reachable from (start, 0) enters the atom's end in a
+/// rejecting shape state.
+bool WordsWithin(const Crpq& p, const BinaryAtom& atom,
+                 const ShapeAutomaton& shape) {
+  if (atom.allow_empty || atom.start == atom.end) return false;
+  const Semiautomaton& a = p.Automaton();
+  std::vector<char> seen(a.StateCount() * 3, 0);
+  std::vector<std::pair<uint32_t, uint8_t>> stack{{atom.start, 0}};
+  seen[atom.start * 3] = 1;
+  while (!stack.empty()) {
+    const auto [state, at] = stack.back();
+    stack.pop_back();
+    for (const auto& [sym, t] : a.Out(state)) {
+      const uint8_t next = shape.Next(at, sym);
+      if (t == atom.end && !ShapeAutomaton::Accepts(next)) return false;
+      if (!seen[t * 3 + next]) {
+        seen[t * 3 + next] = 1;
+        stack.emplace_back(t, next);
+      }
+    }
+  }
+  return true;
+}
+
+/// Replays one derivation: `known` holds each node's literals (P's
+/// variables, or the one node of an `everywhere` or filler derivation) and
+/// grows with every conclusion; `everywhere` holds on every node. `p` is
+/// null for a one-node derivation, where the ∀ rules have no atom to use.
+/// `*clashed` tells whether the last step is a clash.
+AuditResult ReplaySaturation(const Crpq* p, const NormalTBox& tbox,
+                             const KnownLiterals& everywhere,
+                             const std::vector<SaturationStep>& steps,
+                             std::vector<KnownLiterals>* known, bool* clashed) {
+  using Rule = SaturationStep::Rule;
+  *clashed = false;
+  for (std::size_t i = 0; i < steps.size(); ++i) {
+    const SaturationStep& step = steps[i];
+    const std::string at = "saturation step #" + std::to_string(i);
+    if (*clashed) return AuditViolation(at + " follows a clash");
+    if (step.var >= known->size()) {
+      return AuditViolation(at + " names a node the derivation lacks");
+    }
+    KnownLiterals& here = (*known)[step.var];
+    if (step.rule == Rule::kComplement) {
+      if (!step.clash || !Knows(here, step.literal) ||
+          !Knows(here, step.literal.Complemented())) {
+        return AuditViolation(at + " claims a literal and its complement "
+                                   "that are not both on the node");
+      }
+      *clashed = true;
+      continue;
+    }
+    if (step.ci >= tbox.size()) {
+      return AuditViolation(at + " names a CI the schema lacks");
+    }
+    const NormalCi& ci = tbox.Cis()[step.ci];
+    switch (step.rule) {
+      case Rule::kBoolean: {
+        if (ci.kind != NormalCi::Kind::kBoolean) {
+          return AuditViolation(at + " applies a non-Boolean CI as Boolean");
+        }
+        if (!KnowsAll(here, ci.lhs)) {
+          return AuditViolation(at + ": the CI's lhs is not on the node");
+        }
+        const auto open = [&](Literal l) {
+          return !Knows(here, l.Complemented());
+        };
+        if (step.clash) {
+          if (std::any_of(ci.rhs.begin(), ci.rhs.end(), open)) {
+            return AuditViolation(at + " is a clash that leaves an rhs "
+                                       "literal open");
+          }
+          break;
+        }
+        if (std::find(ci.rhs.begin(), ci.rhs.end(), step.literal) ==
+                ci.rhs.end() ||
+            std::any_of(ci.rhs.begin(), ci.rhs.end(), [&](Literal l) {
+              return l != step.literal && open(l);
+            })) {
+          return AuditViolation(at + " concludes a literal its CI leaves "
+                                     "undetermined");
+        }
+        here.insert(step.literal.code());
+        break;
+      }
+      case Rule::kForallEdge:
+      case Rule::kForallPath: {
+        if (p == nullptr || step.atom >= p->BinaryAtoms().size()) {
+          return AuditViolation(at + " travels along an atom P lacks");
+        }
+        if (ci.kind != NormalCi::Kind::kForall || step.clash ||
+            step.literal != ci.rhs_lit) {
+          return AuditViolation(at + " does not conclude its ∀ CI's filler");
+        }
+        const BinaryAtom& atom = p->BinaryAtoms()[step.atom];
+        const Symbol along = Symbol::FromRole(ci.role);
+        const Symbol back = Symbol::FromRole(ci.role.Reversed());
+        bool justified = false;
+        if (step.rule == Rule::kForallEdge) {
+          using K = ShapeAutomaton::Kind;
+          justified =
+              (step.var == atom.z && KnowsAll((*known)[atom.y], ci.lhs) &&
+               WordsWithin(*p, atom, {K::kOneLetter, along})) ||
+              (step.var == atom.y && KnowsAll((*known)[atom.z], ci.lhs) &&
+               WordsWithin(*p, atom, {K::kOneLetter, back}));
+        } else {
+          using K = ShapeAutomaton::Kind;
+          justified = KnowsAll(everywhere, ci.lhs) &&
+                      ((step.var == atom.z &&
+                        WordsWithin(*p, atom, {K::kEndsWith, along})) ||
+                       (step.var == atom.y &&
+                        WordsWithin(*p, atom, {K::kStartsWith, back})));
+        }
+        if (!justified) {
+          return AuditViolation(at + ": the ∀ CI's lhs or the atom's "
+                                     "language does not carry its literal "
+                                     "to the node");
+        }
+        (*known)[step.var].insert(step.literal.code());
+        break;
+      }
+      case Rule::kFiller: {
+        if (ci.kind != NormalCi::Kind::kAtLeast || ci.n == 0 || !step.clash) {
+          return AuditViolation(at + " is not a clash of an at-least CI");
+        }
+        if (!KnowsAll(here, ci.lhs)) {
+          return AuditViolation(at + ": the CI's lhs is not on the node");
+        }
+        KnownLiterals filler = everywhere;
+        for (Literal seed : step.seeds) {
+          const bool passed =
+              seed == ci.rhs_lit ||
+              std::any_of(tbox.Cis().begin(), tbox.Cis().end(),
+                          [&](const NormalCi& d) {
+                            return d.kind == NormalCi::Kind::kForall &&
+                                   d.role == ci.role && d.rhs_lit == seed &&
+                                   KnowsAll(here, d.lhs);
+                          });
+          if (!passed) {
+            return AuditViolation(at + " seeds its filler with a literal "
+                                       "no CI passes to it");
+          }
+          filler.insert(seed.code());
+        }
+        std::vector<KnownLiterals> node{filler};
+        bool filler_clashed = false;
+        if (auto v = ReplaySaturation(nullptr, tbox, everywhere, step.filler,
+                                      &node, &filler_clashed)) {
+          return AuditViolation(at + "'s filler: " + *v);
+        }
+        if (!filler_clashed) {
+          return AuditViolation(at + "'s filler does not clash");
+        }
+        break;
+      }
+      case Rule::kComplement:
+        break;
+    }
+    *clashed = step.clash;
+  }
+  return std::nullopt;
 }
 
 }  // namespace
@@ -188,6 +389,59 @@ AuditResult ValidateMappingCertificate(const Crpq& p, const Ucrpq& q,
     if (!Matches(exp.graph, q)) {
       return AuditViolation(
           "a canonical expansion of P fails Q although Q maps into P");
+    }
+  }
+  return std::nullopt;
+}
+
+AuditResult ValidateSaturationCertificate(const Crpq& p, const NormalTBox& tbox,
+                                          const Saturation& saturation) {
+  const SaturationCertificate& cert = saturation.certificate;
+  std::vector<KnownLiterals> any(1);
+  bool clashed = false;
+  if (auto v = ReplaySaturation(nullptr, tbox, any[0], cert.everywhere, &any,
+                                &clashed)) {
+    return AuditViolation("everywhere: " + *v);
+  }
+  const KnownLiterals& everywhere = any[0];
+  if (clashed) {
+    if (!cert.clash || !cert.steps.empty() || p.VarCount() == 0) {
+      return AuditViolation("the everywhere derivation clashes, but the "
+                            "certificate does not end there");
+    }
+    return std::nullopt;
+  }
+  std::vector<KnownLiterals> known(p.VarCount(), everywhere);
+  for (const UnaryAtom& u : p.UnaryAtoms()) {
+    known[u.var].insert(u.literal.code());
+  }
+  if (auto v = ReplaySaturation(&p, tbox, everywhere, cert.steps, &known,
+                                &clashed)) {
+    return v;
+  }
+  if (clashed != cert.clash) {
+    return AuditViolation(cert.clash ? "the certificate claims a clash its "
+                                       "steps do not reach"
+                                     : "the steps clash, but the certificate "
+                                       "does not say so");
+  }
+  if (clashed) return std::nullopt;
+  const Crpq& saturated = saturation.saturated;
+  const auto& own = p.UnaryAtoms();
+  const auto& all = saturated.UnaryAtoms();
+  if (saturated.VarCount() != p.VarCount() ||
+      saturated.BinaryAtoms().size() != p.BinaryAtoms().size() ||
+      all.size() < own.size() ||
+      !std::equal(own.begin(), own.end(), all.begin(),
+                  [](const UnaryAtom& a, const UnaryAtom& b) {
+                    return a.var == b.var && a.literal == b.literal;
+                  })) {
+    return AuditViolation("the saturated P is not P plus unary atoms");
+  }
+  for (std::size_t i = own.size(); i < all.size(); ++i) {
+    if (!Knows(known[all[i].var], all[i].literal)) {
+      return AuditViolation("the saturated P carries a literal on " +
+                            p.VarName(all[i].var) + " that no step concludes");
     }
   }
   return std::nullopt;

@@ -4,6 +4,7 @@
 #include <string_view>
 #include <vector>
 
+#include "src/core/saturate.h"
 #include "src/dl/tbox.h"
 #include "src/graph/graph.h"
 #include "src/query/query_containment.h"
@@ -41,6 +42,24 @@ AuditResult ValidateCountermodel(const Graph& g, const Ucrpq& p,
 ///   - every canonical expansion of p within the default bounds satisfies Q.
 AuditResult ValidateMappingCertificate(const Crpq& p, const Ucrpq& q,
                                        const MappingCertificate& cert);
+
+/// Saturation audit before the screen's kContained escapes
+/// (SaturateUnderSchema, src/core/saturate.h). Shares no code with the
+/// closure; replays its derivation and re-checks that
+///   - each step applies a CI of its rule's kind whose lhs is known where
+///     the rule reads it (P's literals, the `everywhere` conclusions and
+///     earlier conclusions), and a Boolean step leaves exactly its literal
+///     open;
+///   - each ∀ step's atom has the language the rule needs (one letter, or
+///     every word ending or starting with the letter), by a product of the
+///     atom's automaton with a three-state automaton for that shape;
+///   - each filler's seeds come from its at-least CI and the ∀ CIs that
+///     apply on the variable, and its own derivation clashes;
+///   - a clash leaves nothing open, and nothing follows it;
+///   - without a clash, every literal the saturated P adds to P is
+///     concluded on its variable or everywhere.
+AuditResult ValidateSaturationCertificate(const Crpq& p, const NormalTBox& tbox,
+                                          const Saturation& saturation);
 
 }  // namespace gqc
 

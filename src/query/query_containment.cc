@@ -501,11 +501,13 @@ class MappingSearch {
     if (memo.state != kUntested) return memo.state == kPath;
     memo.state = kNoPath;
     const AtomSubsets& q = Subsets(qa);
-    if (!q.usable) return false;
-    frontier_.assign(1, kNothingRead | q.start);
     path_.clear();
-    bool met = a == b && q.Accepts(frontier_[0]);
+    // The empty word needs no subset construction, so even an atom past
+    // its cap on live states is met by it.
+    bool met = a == b && q.nullable;
     if (!met) {
+      if (!q.usable) return false;
+      frontier_.assign(1, kNothingRead | q.start);
       visited_.assign(p_.VarCount(), 0);
       visited_[a] = 1;
       met = Extend(qa, a, b, 0, 1);

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/automata/regex_parser.h"
 #include "src/automata/validate.h"
 #include "src/core/validate.h"
@@ -364,6 +366,82 @@ TEST_F(MappingCertificateAuditTest, NonIncludedPathTrips) {
   cert_.paths[0] = {PathStep{2, false}};
   EXPECT_NE(Audit().find("not in the Q atom's language"), std::string::npos)
       << Audit();
+}
+
+class SaturationCertificateAuditTest : public AuditTest {
+ protected:
+  void SetUp() override {
+    auto tbox = ParseTBox("A <= B\nB and C <= bottom\ntop <= forall r.D",
+                          &vocab_);
+    ASSERT_TRUE(tbox.ok());
+    tbox_ = Normalize(tbox.value(), &vocab_);
+    // B on x by A ⊑ B; D on y along s.r by ⊤ ⊑ ∀r.D.
+    typed_p_ = C("A(x), (s . r)(x, y)");
+    typed_ = SaturateUnderSchema(typed_p_, tbox_);
+    ASSERT_FALSE(typed_.certificate.clash);
+    // B on x, then B ⊓ C ⊑ ⊥ clashes.
+    clash_p_ = C("A(x), C(x)");
+    clash_ = SaturateUnderSchema(clash_p_, tbox_);
+    ASSERT_TRUE(clash_.certificate.clash);
+  }
+
+  /// The validator's violation, or "" if it passes.
+  std::string Audit(const Crpq& p, const Saturation& s) {
+    return ValidateSaturationCertificate(p, tbox_, s).value_or("");
+  }
+
+  /// The index of the first step of `s` on P's variables by `rule`.
+  static std::size_t StepBy(const Saturation& s, SaturationStep::Rule rule) {
+    const auto& steps = s.certificate.steps;
+    return static_cast<std::size_t>(
+        std::find_if(steps.begin(), steps.end(),
+                     [&](const SaturationStep& step) {
+                       return step.rule == rule && !step.clash;
+                     }) -
+        steps.begin());
+  }
+
+  NormalTBox tbox_;
+  Crpq typed_p_;
+  Saturation typed_;
+  Crpq clash_p_;
+  Saturation clash_;
+};
+
+TEST_F(SaturationCertificateAuditTest, GenuineCertificatesPass) {
+  EXPECT_EQ(Audit(typed_p_, typed_), "");
+  EXPECT_EQ(Audit(clash_p_, clash_), "");
+}
+
+TEST_F(SaturationCertificateAuditTest, StepWhoseLhsIsNotOnTheVariableTrips) {
+  // A ⊑ B applied on y, which does not carry A.
+  const std::size_t i = StepBy(typed_, SaturationStep::Rule::kBoolean);
+  ASSERT_LT(i, typed_.certificate.steps.size());
+  typed_.certificate.steps[i].var = 1;
+  EXPECT_NE(Audit(typed_p_, typed_).find("lhs is not on the node"),
+            std::string::npos)
+      << Audit(typed_p_, typed_);
+}
+
+TEST_F(SaturationCertificateAuditTest, ClashLeavingALiteralOpenTrips) {
+  // A ⊑ B "clashes" on x, but its B is open there.
+  const std::size_t i = StepBy(clash_, SaturationStep::Rule::kBoolean);
+  ASSERT_LT(i, clash_.certificate.steps.size());
+  clash_.certificate.steps.back().ci = clash_.certificate.steps[i].ci;
+  EXPECT_NE(Audit(clash_p_, clash_).find("leaves an rhs literal open"),
+            std::string::npos)
+      << Audit(clash_p_, clash_);
+}
+
+TEST_F(SaturationCertificateAuditTest, DerivedLiteralWithoutAStepTrips) {
+  // D stays on y in the saturated P, but the step that put it there is gone.
+  auto& steps = typed_.certificate.steps;
+  const std::size_t i = StepBy(typed_, SaturationStep::Rule::kForallPath);
+  ASSERT_LT(i, steps.size());
+  steps.erase(steps.begin() + static_cast<std::ptrdiff_t>(i));
+  EXPECT_NE(Audit(typed_p_, typed_).find("that no step concludes"),
+            std::string::npos)
+      << Audit(typed_p_, typed_);
 }
 
 }  // namespace

@@ -154,15 +154,18 @@ inline BruteForceAnswer BruteForceRealizable(const Type& tau, const TBox& tbox,
   return {model.has_value(), std::move(model)};
 }
 
-/// A graph of at most `max_nodes` nodes over `concepts` and `roles` that
-/// satisfies P but not Q: a refutation of P ⊑ Q over all finite graphs,
-/// with no schema.
+/// A model of `tbox` of at most `max_nodes` nodes over `concepts` and
+/// `roles` that satisfies P but not Q: a refutation of P ⊑_T Q (of P ⊑ Q
+/// over all finite graphs, for an empty TBox).
 inline std::optional<Graph> BruteForceRefutation(
-    const Ucrpq& p, const Ucrpq& q, const std::vector<uint32_t>& concepts,
-    const std::vector<uint32_t>& roles, std::size_t max_nodes) {
+    const Ucrpq& p, const Ucrpq& q, const TBox& tbox,
+    const std::vector<uint32_t>& concepts, const std::vector<uint32_t>& roles,
+    std::size_t max_nodes) {
   return FirstSmallGraph(
       concepts, roles, max_nodes, [](const Graph&) { return true; },
-      [&](const Graph& g) { return Matches(g, p) && !Matches(g, q); });
+      [&](const Graph& g) {
+        return Matches(g, p) && !Matches(g, q) && Satisfies(g, tbox);
+      });
 }
 
 /// Independent validity check for a claimed witness: realizes tau somewhere,

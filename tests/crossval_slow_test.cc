@@ -10,13 +10,16 @@
 #include <string>
 #include <vector>
 
+#include "src/core/saturate.h"
 #include "src/dl/concept_parser.h"
 #include "src/dl/normalize.h"
 #include "src/entailment/alcq_simple.h"
 #include "src/entailment/witness_search.h"
 #include "src/query/factorize.h"
 #include "src/query/parser.h"
+#include "src/query/query_containment.h"
 #include "tests/brute_oracle.h"
+#include "tests/differential_pairs.h"
 
 namespace gqc {
 namespace {
@@ -90,6 +93,43 @@ TEST_P(DeepCrossValidationTest, BruteForceAgreesAtBoundThree) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DeepCrossValidationTest,
                          ::testing::Range(uint64_t{1}, uint64_t{41}));
+
+// The cross-validation pairs the screen's schema saturation certifies (a
+// clash, or a map of Q that needs a derived literal) have no refutation
+// among the schema's models of up to 3 nodes either.
+TEST(DeepSaturationTest, CertifiedCrossvalPairsHaveNoThreeNodeRefutation) {
+  std::size_t certified = 0;
+  for (const testing_oracle::Pair& pair : testing_oracle::DifferentialPairs()) {
+    if (pair.label.rfind("xval-", 0) != 0) continue;
+    SCOPED_TRACE(pair.label + ": " + pair.p + "  ⊑  " + pair.q);
+    Vocabulary vocab;
+    auto tbox = ParseTBox(pair.schema, &vocab);
+    auto p = ParseUcrpq(pair.p, &vocab);
+    auto q = ParseUcrpq(pair.q, &vocab);
+    ASSERT_TRUE(tbox.ok() && p.ok() && q.ok());
+    const Crpq& disjunct = p.value().Disjuncts()[0];
+    const Saturation s =
+        SaturateUnderSchema(disjunct, Normalize(tbox.value(), &vocab));
+    if (!s.certificate.clash &&
+        (MapsInto(disjunct, q.value()).has_value() ||
+         !MapsInto(s.saturated, q.value()).has_value())) {
+      continue;
+    }
+    ++certified;
+    using testing_oracle::Union;
+    EXPECT_FALSE(testing_oracle::BruteForceRefutation(
+                     p.value(), q.value(), tbox.value(),
+                     Union(Union(p.value().MentionedConcepts(),
+                                 q.value().MentionedConcepts()),
+                           tbox.value().ConceptIds()),
+                     Union(Union(p.value().MentionedRoles(),
+                                 q.value().MentionedRoles()),
+                           tbox.value().RoleIds()),
+                     kDeepNodeBound)
+                     .has_value());
+  }
+  EXPECT_GE(certified, 30u);
+}
 
 }  // namespace
 }  // namespace gqc

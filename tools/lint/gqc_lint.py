@@ -65,6 +65,7 @@ EXPO_FILE_PATTERNS = [
     r"src/core/minimize\.cc$",
     r"src/core/strategy\.cc$",
     r"src/core/decide\.cc$",
+    r"src/core/saturate\.cc$",
     r"src/query/query_containment\.cc$",
     r"src/entailment/[^/]+\.cc$",
     r"src/frames/[^/]+\.cc$",
@@ -136,7 +137,9 @@ HOT_PATH_FILE_PATTERNS = [
     # the search driver.
     r"src/query/eval\.cc$",
     r"src/query/canonical\.cc$",
-    # The homomorphism screen runs on every disjunct of every request.
+    # The screen's saturation and homomorphism search run on every disjunct
+    # of every request.
+    r"src/core/saturate\.cc$",
     r"src/query/query_containment\.cc$",
     r"src/automata/product\.cc$",
     r"src/dl/model_check\.cc$",
